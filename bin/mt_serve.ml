@@ -54,6 +54,10 @@ let run socket queue_capacity workers state_dir history_dir log_json config =
     let stop _ = Mt_serve.Daemon.stop daemon in
     Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
     Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
+    (* A client that hangs up mid-stream must not kill the daemon: with
+       SIGPIPE ignored the write fails with EPIPE instead, which the
+       daemon treats as the client leaving. *)
+    Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
     Mt_serve.Daemon.serve daemon;
     List.iter
       (fun (k, v) -> Printf.printf "%s: %d\n" k v)

@@ -16,12 +16,15 @@ let setup opts program abi =
   let ranks = opts.Options.mpi_ranks in
   if ranks < 1 then Error "MPI mode requires mpi_ranks >= 1"
   else begin
-    let* probe = Protocol.prepare opts program abi in
-    let total = Protocol.passes_per_call probe in
+    let total = Protocol.passes_for opts abi in
     let chunk = (total + ranks - 1) / ranks in
     let* prepared = Protocol.prepare ~sharers:ranks ~passes:chunk opts program abi in
     Ok (total, prepared)
   end
+
+let warm opts prepared =
+  if opts.Options.warmup then Result.map ignore (Protocol.run_once prepared)
+  else Ok ()
 
 let one_job opts comm prepared =
   let reps = opts.Options.repetitions in
@@ -47,7 +50,7 @@ let one_job opts comm prepared =
 let run opts program abi =
   let* total, prepared = setup opts program abi in
   let comm = communicator opts in
-  if opts.Options.warmup then ignore (Protocol.run_once prepared);
+  let* () = warm opts prepared in
   let rec experiments n acc =
     if n = 0 then Ok (List.rev acc)
     else
@@ -63,5 +66,5 @@ let run opts program abi =
 let job_cycles opts program abi =
   let* _, prepared = setup opts program abi in
   let comm = communicator opts in
-  if opts.Options.warmup then ignore (Protocol.run_once prepared);
+  let* () = warm opts prepared in
   one_job opts comm prepared

@@ -30,34 +30,31 @@ let setup opts program abi =
   else begin
     let rt = runtime_of opts in
     (* The whole iteration space, as loop passes of the kernel. *)
-    let* probe = Protocol.prepare opts program abi in
-    let total = Protocol.passes_per_call probe in
+    let total = Protocol.passes_for opts abi in
     let chunks = Mt_openmp.chunks_of rt ~total in
     let* prepared_chunks = collect_chunks opts program abi threads chunks in
     Ok (rt, total, prepared_chunks)
   end
 
-let one_region cfg rt total prepared_chunks =
-  let run_chunk (c : Mt_openmp.chunk) ~sharers:_ =
-    let prepared =
-      List.assoc_opt c
-        (List.map (fun (c', p) -> (c', p)) prepared_chunks)
-    in
-    match prepared with
-    | None -> 0.
-    | Some p -> (
-      match Protocol.run_once p with
-      | Ok outcome -> outcome.Mt_machine.Core.cycles
-      | Error _ -> 0.)
-  in
-  Mt_openmp.parallel_for cfg rt ~total ~run_chunk
+(* Each chunk runs on the state prepared for it; a failed simulation
+   fails the region. *)
+let one_region cfg rt prepared_chunks =
+  Mt_openmp.parallel_region cfg rt prepared_chunks
+    ~run_chunk:(fun _ p ~sharers:_ ->
+      Result.map (fun o -> o.Mt_machine.Core.cycles) (Protocol.run_once p))
+
+(* Warm each thread's caches once, as the sequential protocol does. *)
+let rec warm = function
+  | [] -> Ok ()
+  | (_, p) :: rest ->
+    let* _ = Protocol.run_once p in
+    warm rest
 
 let region_cycles opts program abi =
-  let* rt, total, prepared_chunks = setup opts program abi in
+  let* rt, _, prepared_chunks = setup opts program abi in
   let cfg = Options.effective_machine opts in
-  (* Warm each thread's caches once, as the sequential protocol does. *)
-  List.iter (fun (_, p) -> ignore (Protocol.run_once p)) prepared_chunks;
-  Ok (one_region cfg rt total prepared_chunks)
+  let* () = warm prepared_chunks in
+  one_region cfg rt prepared_chunks
 
 let run opts program abi =
   let* rt, total, prepared_chunks = setup opts program abi in
@@ -65,24 +62,21 @@ let run opts program abi =
   | [] -> Error "OpenMP mode: empty iteration space"
   | (_, first) :: _ ->
     let cfg = Options.effective_machine opts in
-    if opts.Options.warmup then
-      List.iter (fun (_, p) -> ignore (Protocol.run_once p)) prepared_chunks;
-    let reps = opts.Options.repetitions in
-    let experiment () =
-      let rec go r acc =
-        if r = 0 then acc
-        else
-          go (r - 1)
-            (acc
-            +. opts.Options.call_overhead_cycles
-            +. one_region cfg rt total prepared_chunks)
-      in
-      go reps 0.
+    let* () = if opts.Options.warmup then warm prepared_chunks else Ok () in
+    let rec experiment r acc =
+      if r = 0 then Ok acc
+      else
+        let* region = one_region cfg rt prepared_chunks in
+        experiment (r - 1) (acc +. opts.Options.call_overhead_cycles +. region)
     in
-    let totals = List.init opts.Options.experiments (fun _ -> experiment ()) in
-    let report =
-      Protocol.report_of_totals
-        ~mode:(Printf.sprintf "openmp:%d" opts.Options.openmp_threads)
-        first ~actual_passes:total totals
+    let rec experiments n acc =
+      if n = 0 then Ok (List.rev acc)
+      else
+        let* total = experiment opts.Options.repetitions 0. in
+        experiments (n - 1) (total :: acc)
     in
-    Ok report
+    let* totals = experiments opts.Options.experiments [] in
+    Ok
+      (Protocol.report_of_totals
+         ~mode:(Printf.sprintf "openmp:%d" opts.Options.openmp_threads)
+         first ~actual_passes:total totals)

@@ -23,12 +23,44 @@ let err fmt = Printf.ksprintf (fun s -> Error s) fmt
 
 (* Cost of calling an empty kernel on this machine: the baseline the
    overhead subtraction removes (Fig. 10's "overhead calculation"). *)
-let empty_kernel_cycles cfg =
+let fresh_empty_kernel_cycles cfg =
   let empty = [ Insn.Insn (Insn.make Insn.RET []) ] in
   let memory = Memory.create cfg in
   match Core.run_program cfg memory empty with
   | Ok r -> r.Core.cycles
   | Error _ -> 1.
+
+(* The baseline is a pure function of the machine, so it is computed
+   once per distinct config (structural equality: a [Config.t] is data
+   only) instead of building a second memory hierarchy per prepare.
+   The table is an immutable list swapped by CAS, so pool domains and
+   serve threads share it lock-free; a racing duplicate computation is
+   harmless.  It keeps the [empty_cycles_kept] most recent machines, so
+   a long-lived daemon fed ever-new inline machines stays bounded. *)
+let empty_cycles_kept = 32
+
+let empty_cycles_table : (Config.t * float) list Atomic.t = Atomic.make []
+
+let empty_kernel_cycles cfg =
+  match List.assoc_opt cfg (Atomic.get empty_cycles_table) with
+  | Some cycles -> cycles
+  | None ->
+    let cycles = fresh_empty_kernel_cycles cfg in
+    let rec publish () =
+      let seen = Atomic.get empty_cycles_table in
+      if not (List.mem_assoc cfg seen) then begin
+        let kept = List.filteri (fun i _ -> i < empty_cycles_kept - 1) seen in
+        if not (Atomic.compare_and_set empty_cycles_table seen ((cfg, cycles) :: kept))
+        then publish ()
+      end
+    in
+    publish ();
+    cycles
+
+let passes_for opts abi =
+  match opts.Options.trip_passes with
+  | Some p -> p
+  | None -> Abi.passes_for_bytes abi opts.Options.array_bytes
 
 let prepare ?sharers ?passes ?(start_pass = 0) ?(noise_salt = 0) opts program abi =
   match Options.validate opts with
@@ -64,10 +96,7 @@ let prepare ?sharers ?passes ?(start_pass = 0) ?(noise_salt = 0) opts program ab
               region.Memmap.base)
         in
         let passes =
-          match passes, opts.Options.trip_passes with
-          | Some p, _ -> p
-          | None, Some p -> p
-          | None, None -> Abi.passes_for_bytes abi opts.Options.array_bytes
+          match passes with Some p -> p | None -> passes_for opts abi
         in
         (* A chunked (OpenMP) thread starts its traversal [start_pass]
            passes into each array. *)

@@ -28,6 +28,18 @@ val prepare :
 
 val passes_per_call : prepared -> int
 
+val passes_for : Options.t -> Abi.t -> int
+(** The loop passes one call makes when {!prepare} gets no [passes]
+    override: [opts.trip_passes], else one traversal of
+    [opts.array_bytes].  Pure, so the parallel modes size their
+    iteration space without a throwaway prepare. *)
+
+val empty_kernel_cycles : Mt_machine.Config.t -> float
+(** Core cycles of a call to an empty kernel (a bare [ret]) on a cold
+    machine: the baseline {!overhead_cycles} adds.  Computed once per
+    distinct machine (structural equality) and shared by every
+    {!prepare}; safe to call from any domain or thread. *)
+
 val array_bases : prepared -> int list
 (** Allocated base addresses (alignment tests inspect these). *)
 

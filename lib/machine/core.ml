@@ -321,65 +321,9 @@ let fast_of cp =
 (* Execution                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Cycle-granular port booking with gap filling: a uop that becomes
-   ready at cycle [t] takes the first cycle >= t in which fewer than
-   [ports] uops are already booked — younger ready uops slot into the
-   holes older stalled uops leave, as a real scheduler does.  The ring
-   remembers [window] cycles; bookings never spread wider than the
-   instruction window allows in practice. *)
-module Booker = struct
-  type t = {
-    ports : int;
-    window : int;
-    counts : int array;
-    cycle_of : int array;
-  }
-
-  let window = 8192
-
-  (* [window] is a power of two so the ring index is a mask, not an
-     integer division — [book] runs once per booked cycle on the hot
-     path and idiv latency would dominate it. *)
-  let mask = window - 1
-
-  let create ~ports =
-    { ports; window; counts = Array.make window 0; cycle_of = Array.make window min_int }
-
-  (* [idx] is masked into [0, window), so the ring accesses skip the
-     bounds checks. *)
-  let rec book t c =
-    let idx = c land mask in
-    if Array.unsafe_get t.cycle_of idx <> c then begin
-      Array.unsafe_set t.cycle_of idx c;
-      Array.unsafe_set t.counts idx 0
-    end;
-    let n = Array.unsafe_get t.counts idx in
-    if n < t.ports then begin
-      Array.unsafe_set t.counts idx (n + 1);
-      c
-    end
-    else book t (c + 1)
-
-  let rec extend_span t c remaining =
-    if remaining > 0 then begin
-      ignore (book t c);
-      extend_span t (c + 1) (remaining - 1)
-    end
-
-  (* Book [occupancy] consecutive cycles starting no earlier than cycle
-     [start]; returns the first booked cycle.  All-integer so the hot
-     path never boxes. *)
-  let book_span t ~start ~occupancy =
-    let first = book t start in
-    extend_span t (first + 1) (occupancy - 1);
-    first
-
-  (* Float-facing wrapper kept for the reference interpreter. *)
-  let book_from t ~time ~occupancy =
-    float_of_int
-      (book_span t ~start:(int_of_float (Float.ceil time)) ~occupancy)
-end
-
+(* Port booking lives in {!Booker}.  The reference interpreter books
+   on fresh rings every call; [run] reuses the rings its memory
+   pipeline owns. *)
 type port_file = {
   load : Booker.t;
   store : Booker.t;
@@ -655,8 +599,10 @@ let run ?(init = []) ?(max_instructions = 50_000_000) ?trace ?attr
   let l1_lat_f = float_of_int cfg.l1_latency_cycles in
   let ready = Array.make slot_count 0. in
   let wissue = Array.make slot_count 0. in
-  let pf = make_ports cfg in
-  let bookers = [| pf.load; pf.store; pf.alu; pf.fp_add; pf.fp_mul; pf.branch |] in
+  (* The memory pipeline's rings, in booker index order; the O(1)
+     reset makes them book exactly as fresh ones would. *)
+  let bookers = memory.Memory.rings in
+  Booker.reset_file bookers cfg;
   let rob_size = cfg.rob_size in
   let rob = Array.make rob_size 0. in
   let decode_step = 1. /. float_of_int cfg.issue_width in
@@ -722,10 +668,12 @@ let run ?(init = []) ?(max_instructions = 50_000_000) ?trace ?attr
            let bk = Array.unsafe_get bookers d.f_uport in
            let start = iceil s.s_t in
            let idx = start land Booker.mask in
+           let key = bk.Booker.base + start in
            let slot =
-             if Array.unsafe_get bk.Booker.cycle_of idx <> start then begin
-               Array.unsafe_set bk.Booker.cycle_of idx start;
+             if Array.unsafe_get bk.Booker.cycle_of idx <> key then begin
+               Array.unsafe_set bk.Booker.cycle_of idx key;
                Array.unsafe_set bk.Booker.counts idx 1;
+               if key > bk.Booker.hi then bk.Booker.hi <- key;
                start
              end
              else begin

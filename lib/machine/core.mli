@@ -67,6 +67,17 @@ val run :
     (cached on [compiled]) and the steady-state loop allocates no minor
     words per instruction on the non-memory path.
 
+    Port booking uses the rings the memory pipeline owns
+    ([memory.rings], one {!Booker.t} per port group), so a call costs
+    time in proportion to what it simulates rather than a fresh set of
+    rings.  The pipeline's single owner makes that safe: concurrent
+    calls on different pipelines never share a ring, and calls on one
+    pipeline must not overlap (as for its caches).  Each call first
+    resets the rings in O(1) by raising their key base past every key
+    an earlier call wrote ({!Booker.reset}), so stale slots read as
+    empty and the outcome is bit-identical to booking on fresh rings —
+    what {!run_reference} does.
+
     [attr] hooks an {!Attribution} sink: every dynamic instruction's
     binding constraint is recorded into it (same classifications as
     {!run_reference}).  When absent the hook costs one branch per

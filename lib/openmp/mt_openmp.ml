@@ -87,43 +87,53 @@ let is_dynamic rt =
   | Dynamic _ | Guided _ -> true
   | Static | Static_chunk _ -> false
 
-let parallel_for cfg rt ~total ~run_chunk =
-  let chunks = chunks_of rt ~total in
+let parallel_region cfg rt work ~run_chunk =
+  let ( let* ) = Result.bind in
   let active_threads =
-    List.sort_uniq compare (List.map (fun c -> c.thread) chunks) |> List.length
+    List.sort_uniq compare (List.map (fun (c, _) -> c.thread) work) |> List.length
   in
   let sharers = max 1 active_threads in
-  let slowest =
+  let* slowest =
     if is_dynamic rt then begin
       (* Greedy dispatch: each chunk goes to the thread that frees up
          first, plus a bookkeeping cost per dispatch. *)
       let dispatch = Config.cycles_of_ns cfg dispatch_overhead_ns in
       let clocks = Array.make rt.threads 0. in
-      List.iter
-        (fun c ->
+      let rec go = function
+        | [] -> Ok (Array.fold_left Float.max 0. clocks)
+        | (c, x) :: rest ->
           let thread = ref 0 in
           for i = 1 to rt.threads - 1 do
             if clocks.(i) < clocks.(!thread) then thread := i
           done;
-          let c = { c with thread = !thread } in
-          clocks.(!thread) <-
-            clocks.(!thread) +. dispatch +. run_chunk c ~sharers)
-        chunks;
-      Array.fold_left Float.max 0. clocks
+          let* cycles = run_chunk { c with thread = !thread } x ~sharers in
+          clocks.(!thread) <- clocks.(!thread) +. dispatch +. cycles;
+          go rest
+      in
+      go work
     end
     else begin
       (* Per-thread time is the sum of its chunks; the region waits for
          the slowest thread. *)
       let per_thread = Hashtbl.create 8 in
-      List.iter
-        (fun c ->
+      let rec go = function
+        | [] -> Ok (Hashtbl.fold (fun _ v acc -> Float.max v acc) per_thread 0.)
+        | (c, x) :: rest ->
+          let* cycles = run_chunk c x ~sharers in
           let prev = Option.value ~default:0. (Hashtbl.find_opt per_thread c.thread) in
-          Hashtbl.replace per_thread c.thread (prev +. run_chunk c ~sharers))
-        chunks;
-      Hashtbl.fold (fun _ v acc -> Float.max v acc) per_thread 0.
+          Hashtbl.replace per_thread c.thread (prev +. cycles);
+          go rest
+      in
+      go work
     end
   in
-  slowest +. region_overhead_cycles cfg rt
+  Ok (slowest +. region_overhead_cycles cfg rt)
+
+let parallel_for cfg rt ~total ~run_chunk =
+  Result.get_ok
+    (parallel_region cfg rt
+       (List.map (fun c -> (c, ())) (chunks_of rt ~total))
+       ~run_chunk:(fun c () ~sharers -> Ok (run_chunk c ~sharers)))
 
 let pin_map cfg rt =
   Array.init rt.threads (fun i -> i mod Config.core_count cfg)

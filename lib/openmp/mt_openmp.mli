@@ -59,6 +59,20 @@ val parallel_for :
     when [sharers] threads stream concurrently; the region costs the
     slowest thread plus fork/join overhead. *)
 
+val parallel_region :
+  Mt_machine.Config.t ->
+  runtime ->
+  (chunk * 'a) list ->
+  run_chunk:(chunk -> 'a -> sharers:int -> (float, 'e) result) ->
+  (float, 'e) result
+(** {!parallel_for} over chunks that each carry their own work item
+    (the caller's per-chunk state, e.g. a prepared kernel), so the
+    item reaches [run_chunk] with its chunk and no lookup can miss.
+    The chunk passed to [run_chunk] carries the thread it runs on,
+    which for dynamic schedules may differ from the provisional one.
+    The first [Error] from [run_chunk] ends the region and is
+    returned. *)
+
 val pin_map : Mt_machine.Config.t -> runtime -> int array
 (** Thread-to-core pinning: thread [i] runs on core [i] (compact
     pinning, filling socket 0 first), as MicroLauncher pins it. *)

@@ -36,10 +36,27 @@ let default_config ?(base = Run_config.default) socket_path =
     base;
   }
 
+(* The output side of one client connection.  Every line written to
+   it — the handler's Accepted or Rejected, a worker's Header, Rows,
+   Snapshot and Done — goes through [send] under [wlock], so lines from
+   the handler and the worker never interleave.  A write that fails
+   (EPIPE, a reset) means the client left: the connection is marked
+   [gone] and later lines are dropped, while the job runs to its end. *)
+type conn = { oc : out_channel; wlock : Mutex.t; mutable gone : bool }
+
+(* Caller holds [conn.wlock]. *)
+let send_locked conn response =
+  if not conn.gone then
+    try Protocol.send_response conn.oc response
+    with Sys_error _ | Unix.Unix_error _ -> conn.gone <- true
+
+let send conn response =
+  Mutex.protect conn.wlock (fun () -> send_locked conn response)
+
 type job = {
   id : int;
   submission : Protocol.submission;
-  oc : out_channel;
+  conn : conn;
   lock : Mutex.t;
   finished : Condition.t;
   mutable done_ : bool;
@@ -146,9 +163,9 @@ let job_run_config d job =
 
 let stream_outcomes d job outcomes =
   let doc = Microtools.Study.csv outcomes in
-  Protocol.send_response job.oc (Protocol.Header (Mt_stats.Csv.header doc));
+  send job.conn (Protocol.Header (Mt_stats.Csv.header doc));
   List.iter
-    (fun row -> Protocol.send_response job.oc (Protocol.Row row))
+    (fun row -> send job.conn (Protocol.Row row))
     (Mt_stats.Csv.rows doc);
   let quarantined = List.length (Microtools.Study.quarantined outcomes) in
   let cache_hit_rate =
@@ -181,8 +198,7 @@ let execute d job =
     | outcomes ->
       let quarantined, cache_hit_rate = stream_outcomes d job outcomes in
       let snap = Microtools.Study.snapshot ~tool:"mt_serve" study outcomes in
-      Protocol.send_response job.oc
-        (Protocol.Snapshot (Mt_obsv.Snapshot.to_json snap));
+      send job.conn (Protocol.Snapshot (Mt_obsv.Snapshot.to_json snap));
       Option.iter
         (fun path -> try Sys.remove path with Sys_error _ -> ())
         config.Run_config.journal_out;
@@ -216,11 +232,10 @@ let worker d () =
       let queue_wait_us = 1e6 *. (popped_at -. job.submitted_at) in
       Mt_telemetry.observe (tel ()) queue_wait_metric queue_wait_us;
       let status =
-        try execute d job
-        with _ ->
-          (* The socket died mid-stream (client hung up): the job is
-             finished either way; never take the worker down. *)
-          `Failed "connection lost"
+        (* [execute] reports study failures itself and [send] absorbs
+           a client that hung up; anything else still must not take
+           the worker down. *)
+        try execute d job with e -> `Failed (Printexc.to_string e)
       in
       let exec_us = 1e6 *. (Unix.gettimeofday () -. popped_at) in
       Mt_telemetry.observe (tel ()) exec_metric exec_us;
@@ -239,15 +254,11 @@ let worker d () =
           [ ("quarantined", Mt_obsv.Json.Num (float_of_int quarantined)) ]
         | `Failed msg -> [ ("message", Mt_obsv.Json.Str msg) ]);
       (* The terminal message, last: it unblocks the waiting client. *)
-      (try
-         match status with
-         | `Completed (quarantined, cache_hit_rate) ->
-           Protocol.send_response job.oc
-             (Protocol.Done { job = job.id; quarantined; cache_hit_rate })
-         | `Failed message ->
-           Protocol.send_response job.oc
-             (Protocol.Failed { job = job.id; message })
-       with _ -> () (* client hung up: the job is finished either way *));
+      send job.conn
+        (match status with
+        | `Completed (quarantined, cache_hit_rate) ->
+          Protocol.Done { job = job.id; quarantined; cache_hit_rate }
+        | `Failed message -> Protocol.Failed { job = job.id; message });
       Atomic.decr d.inflight;
       Mutex.lock job.lock;
       job.done_ <- true;
@@ -357,38 +368,48 @@ let trigger_stop d =
     with Unix.Unix_error _ -> ()
   end
 
-let handle_submit d oc s =
+let handle_submit d conn s =
   Mt_telemetry.incr (tel ()) "serve.submissions";
   match study_of_submission s with
   | Error msg ->
     Mt_telemetry.incr (tel ()) "serve.rejected.bad_request";
-    Protocol.send_response oc (Protocol.Rejected (Protocol.Bad_request msg))
+    send conn (Protocol.Rejected (Protocol.Bad_request msg))
   | Ok _ -> (
     let job =
       {
         id = Atomic.fetch_and_add d.next_id 1;
         submission = s;
-        oc;
+        conn;
         lock = Mutex.create ();
         finished = Condition.create ();
         done_ = false;
         submitted_at = Unix.gettimeofday ();
       }
     in
-    match Jobq.push d.queue job with
+    (* Accepted must be the job's first line.  The connection's write
+       lock is held from the push until Accepted is written, so a worker
+       that pops the job at once blocks on its first line until then. *)
+    let pushed =
+      Mutex.protect conn.wlock (fun () ->
+          match Jobq.push d.queue job with
+          | Error _ as e -> e
+          | Ok () ->
+            let queue_depth = Jobq.depth d.queue in
+            Mt_telemetry.incr (tel ()) "serve.accepted";
+            log_json d "job.accepted"
+              [
+                ("job", Mt_obsv.Json.Num (float_of_int job.id));
+                ("queue_depth", Mt_obsv.Json.Num (float_of_int queue_depth));
+              ];
+            send_locked conn (Protocol.Accepted { job = job.id; queue_depth });
+            Ok ())
+    in
+    match pushed with
     | Error (`Queue_full | `Closed) ->
       (* A closing daemon has no capacity either: same typed error. *)
       Mt_telemetry.incr (tel ()) "serve.rejected.queue_full";
-      Protocol.send_response oc (Protocol.Rejected Protocol.Queue_full)
+      send conn (Protocol.Rejected Protocol.Queue_full)
     | Ok () ->
-      Mt_telemetry.incr (tel ()) "serve.accepted";
-      log_json d "job.accepted"
-        [
-          ("job", Mt_obsv.Json.Num (float_of_int job.id));
-          ("queue_depth", Mt_obsv.Json.Num (float_of_int (Jobq.depth d.queue)));
-        ];
-      Protocol.send_response oc
-        (Protocol.Accepted { job = job.id; queue_depth = Jobq.depth d.queue });
       Mutex.lock job.lock;
       while not job.done_ do
         Condition.wait job.finished job.lock
@@ -397,26 +418,26 @@ let handle_submit d oc s =
 
 let handle_connection d fd =
   let ic = Unix.in_channel_of_descr fd in
-  let oc = Unix.out_channel_of_descr fd in
+  let conn =
+    { oc = Unix.out_channel_of_descr fd; wlock = Mutex.create (); gone = false }
+  in
   (try
      match Protocol.read_request ic with
      | None -> ()
      | Some (Error msg) ->
-       Protocol.send_response oc (Protocol.Rejected (Protocol.Bad_request msg))
-     | Some (Ok Protocol.Ping) -> Protocol.send_response oc Protocol.Pong
-     | Some (Ok Protocol.Stats) ->
-       Protocol.send_response oc (Protocol.Stats_reply (stats d))
+       send conn (Protocol.Rejected (Protocol.Bad_request msg))
+     | Some (Ok Protocol.Ping) -> send conn Protocol.Pong
+     | Some (Ok Protocol.Stats) -> send conn (Protocol.Stats_reply (stats d))
      | Some (Ok (Protocol.Metrics Protocol.Metrics_json)) ->
-       Protocol.send_response oc (Protocol.Metrics_reply (metrics d))
+       send conn (Protocol.Metrics_reply (metrics d))
      | Some (Ok (Protocol.Metrics Protocol.Metrics_prometheus)) ->
-       Protocol.send_response oc
+       send conn
          (Protocol.Metrics_text (Protocol.prometheus_of_metrics (metrics d)))
      | Some (Ok Protocol.Shutdown) ->
-       Protocol.send_response oc Protocol.Bye;
+       send conn Protocol.Bye;
        trigger_stop d
-     | Some (Ok (Protocol.Submit s)) -> handle_submit d oc s
+     | Some (Ok (Protocol.Submit s)) -> handle_submit d conn s
    with _ -> () (* peer hung up mid-exchange *));
-  (try flush oc with Sys_error _ -> ());
   try Unix.close fd with Unix.Unix_error _ -> ()
 
 (* ------------------------------------------------------------------ *)

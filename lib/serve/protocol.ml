@@ -576,9 +576,11 @@ let response_of_json doc =
 (* Line framing                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* The line and its newline go out in one channel operation, so a
+   line is never split around another writer's output on the same
+   channel. *)
 let write_line oc json =
-  output_string oc (J.to_string json);
-  output_char oc '\n';
+  output_string oc (J.to_string json ^ "\n");
   flush oc
 
 let send_request oc r = write_line oc (request_to_json r)

@@ -185,7 +185,9 @@ let golden_init abi passes =
        (fun idx (r, _step) -> (r, List.nth bases (idx mod 8)))
        abi.Abi.pointers
 
-let test_golden_corpus () =
+(* Apply [f] to sampled variants of every description on every
+   preset; returns how many (variant, preset) pairs it covered. *)
+let iter_golden f =
   let kernels = Sys.readdir corpus_dir in
   Array.sort compare kernels;
   let kernels =
@@ -211,24 +213,29 @@ let test_golden_corpus () =
                 | Some abi -> abi
                 | None -> Alcotest.failf "%s: variant without abi" file
               in
-              let program = Variant.concrete_body v in
-              check_equivalent
-                ~what:(Printf.sprintf "%s/%s/%s" file name (Variant.id v))
-                ~machine
-                ~init:(golden_init abi 24)
-                program;
+              f ~what:(Printf.sprintf "%s/%s/%s" file name (Variant.id v))
+                ~machine ~init:(golden_init abi 24) (Variant.concrete_body v);
               incr checked)
             variants)
         Config.presets)
     kernels;
+  !checked
+
+let test_golden_corpus () =
+  let checked =
+    iter_golden (fun ~what ~machine ~init program ->
+        check_equivalent ~what ~machine ~init program)
+  in
   (* 11 kernels x 3 presets x sampled variants. *)
-  check_bool "covered the corpus" true (!checked >= 11 * 3 * 3)
+  check_bool "covered the corpus" true (checked >= 11 * 3 * 3)
 
 (* ------------------------------------------------------------------ *)
 (* QCheck: random short programs                                       *)
 (* ------------------------------------------------------------------ *)
 
-let prop_random_programs =
+(* Random short loops over ALU, SSE and memory instructions, with a
+   trip count; the kernels run with [rsi] as the array base. *)
+let random_loop_gen =
   let open QCheck in
   let gpr = Gen.oneofl [ Reg.RBX; Reg.RCX; Reg.RDX; Reg.R8; Reg.R9 ] in
   let body_insn =
@@ -278,17 +285,220 @@ let prop_random_programs =
             Insn.make Insn.ADD [ Operand.imm step; Operand.reg rsi ] );
         ])
   in
-  let gen =
-    Gen.(
-      list_size (1 -- 8) body_insn >>= fun body ->
-      1 -- 40 >|= fun trips -> (body, trips))
-  in
+  Gen.(
+    list_size (1 -- 8) body_insn >>= fun body ->
+    1 -- 40 >|= fun trips -> (loop (List.map (fun x -> Insn.Insn x) body), trips))
+
+let prop_random_programs =
+  let open QCheck in
   Test.make ~count:80 ~name:"fastpath: random programs match the reference"
-    (make gen) (fun (body, trips) ->
+    (make random_loop_gen) (fun (program, trips) ->
       check_equivalent ~what:"random program"
         ~init:[ (rdi, trips); (rsi, 1 lsl 22) ]
-        (loop (List.map (fun x -> Insn.Insn x) body));
+        program;
       true)
+
+(* ------------------------------------------------------------------ *)
+(* Ring reuse: one memory pipeline across many calls                   *)
+(* ------------------------------------------------------------------ *)
+
+(* [Core.run] books on the port rings its memory pipeline owns and
+   resets them in O(1) per call; [Core.run_reference] books on fresh
+   rings.  Driving both through the same call sequence — each on its
+   own pipeline, so caches warm identically — must give bit-identical
+   outcomes at every step, including after calls that stop early and
+   leave their bookings behind. *)
+
+let compile_exn program =
+  match Core.compile program with
+  | Ok c -> c
+  | Error e -> Alcotest.failf "compile: %s" (Core.error_to_string e)
+
+(* Books ALU, FP-divide (multi-cycle occupancy) and load-port cycles,
+   then faults on a misaligned aligned-SSE load. *)
+let faulting =
+  lazy
+    (compile_exn
+       [
+         i Insn.ADD [ Operand.imm 1; Operand.reg eax ];
+         i Insn.DIVSD [ Operand.reg (Reg.xmm 1); Operand.reg (Reg.xmm 2) ];
+         i Insn.MOVSD [ Operand.mem ~base:rsi (); Operand.reg (Reg.xmm 3) ];
+         i Insn.ADD [ Operand.imm 2; Operand.reg eax ];
+         i Insn.MOVAPS [ Operand.mem ~base:rsi ~disp:4 (); Operand.reg (Reg.xmm 0) ];
+         i Insn.RET [];
+       ])
+
+type call = {
+  prog : Core.compiled;
+  init : (Reg.t * int) list;
+  fuel : int option;
+  expect : [ `Ok | `Fuel | `Fault ];
+}
+
+let show_kind = function `Ok -> "Ok" | `Fuel -> "Fuel_exhausted" | `Fault -> "Alignment_fault"
+
+let kind_of = function
+  | Ok _ -> `Ok
+  | Error (Core.Fuel_exhausted _) -> `Fuel
+  | Error (Core.Alignment_fault _) -> `Fault
+  | Error e -> Alcotest.failf "unexpected error %s" (Core.error_to_string e)
+
+(* The kernel five times, with a call cut short by fuel (half its
+   instructions) after the second and an alignment fault after the
+   third. *)
+let reuse_sequence machine prog init =
+  let insns =
+    match Core.run_reference ~init machine (Memory.create machine) prog with
+    | Ok o -> o.Core.instructions
+    | Error e -> Alcotest.failf "kernel: %s" (Core.error_to_string e)
+  in
+  let ok = { prog; init; fuel = None; expect = `Ok } in
+  [
+    ok;
+    ok;
+    { ok with fuel = Some (max 1 (insns / 2)); expect = `Fuel };
+    ok;
+    { prog = Lazy.force faulting; init = [ (rsi, 1 lsl 22) ]; fuel = None;
+      expect = `Fault };
+    ok;
+    ok;
+  ]
+
+(* [before k m] runs on the fast engine's pipeline before call [k]. *)
+let check_reuse ?(what = "reuse") ?(machine = cfg) ?(before = fun _ _ -> ())
+    calls =
+  let mem_fast = Memory.create machine in
+  let mem_ref = Memory.create machine in
+  List.iteri
+    (fun k c ->
+      before k mem_fast;
+      let run engine mem =
+        engine ?init:(Some c.init) ?max_instructions:c.fuel ?trace:None
+          ?attr:None machine mem c.prog
+      in
+      let fast = run Core.run mem_fast in
+      let reference = run Core.run_reference mem_ref in
+      if fast <> reference then
+        Alcotest.failf "%s, call %d:\n  fast: %s\n  ref:  %s" what k
+          (show_result fast) (show_result reference);
+      if kind_of fast <> c.expect then
+        Alcotest.failf "%s, call %d: expected %s, got %s" what k
+          (show_kind c.expect) (show_result fast))
+    calls
+
+let test_reuse_directed () =
+  let rbx = Reg.gpr64 Reg.RBX in
+  (* Long enough that one call's bookings wrap the 8192-cycle ring. *)
+  let long_alu =
+    compile_exn
+      (loop
+         [
+           i Insn.IMUL [ Operand.imm 3; Operand.reg rbx ];
+           i Insn.DIVSD [ Operand.reg (Reg.xmm 1); Operand.reg (Reg.xmm 2) ];
+         ])
+  in
+  let stream =
+    compile_exn
+      (loop ~step:1
+         [
+           i Insn.MOVSS [ Operand.mem ~base:rsi (); Operand.reg (Reg.xmm 0) ];
+           i Insn.MOVSS [ Operand.reg (Reg.xmm 0); Operand.mem ~base:rsi ~disp:4096 () ];
+           i Insn.ADD [ Operand.imm 4; Operand.reg rsi ];
+         ])
+  in
+  check_reuse ~what:"long alu loop"
+    (reuse_sequence cfg long_alu [ (rdi, 2000) ]);
+  check_reuse ~what:"load/store stream"
+    (reuse_sequence cfg stream [ (rdi, 500); (rsi, 1 lsl 22) ]);
+  (* Alternating programs on one pipeline: each call's keys must be
+     invisible to the next, whichever program wrote them. *)
+  check_reuse ~what:"alternating programs"
+    (List.concat
+       [
+         reuse_sequence cfg long_alu [ (rdi, 300) ];
+         reuse_sequence cfg stream [ (rdi, 100); (rsi, 1 lsl 22) ];
+       ])
+
+let test_reuse_refill () =
+  (* A ring whose keys approach max_int is refilled in full instead of
+     rebased; the refill must be as exact as the O(1) reset.  Pushing
+     [hi] up after the first call makes the second refill a ring that
+     still holds the first call's keys, which a rebase to 0 without
+     the refill would read back. *)
+  let rbx = Reg.gpr64 Reg.RBX in
+  let prog =
+    compile_exn
+      (loop [ i Insn.ADD [ Operand.imm 1; Operand.reg rbx ] ])
+  in
+  check_reuse ~what:"refill near max_int"
+    ~before:(fun k m ->
+      if k = 1 then
+        Array.iter
+          (fun (r : Booker.t) -> r.Booker.hi <- max_int - 1)
+          m.Memory.rings)
+    (reuse_sequence cfg prog [ (rdi, 50) ])
+
+let test_reuse_golden_corpus () =
+  let checked =
+    iter_golden (fun ~what ~machine ~init program ->
+        check_reuse ~what ~machine
+          (reuse_sequence machine (compile_exn program) init))
+  in
+  check_bool "covered the corpus" true (checked >= 11 * 3 * 3)
+
+let prop_random_reuse =
+  let open QCheck in
+  Test.make ~count:40
+    ~name:"fastpath: reused rings match fresh ones on random programs"
+    (make random_loop_gen) (fun (program, trips) ->
+      check_reuse ~what:"random program"
+        (reuse_sequence cfg (compile_exn program)
+           [ (rdi, trips); (rsi, 1 lsl 22) ]);
+      true)
+
+(* ------------------------------------------------------------------ *)
+(* Empty-kernel baseline memo                                          *)
+(* ------------------------------------------------------------------ *)
+
+let machines_dir =
+  if Sys.file_exists "../machines" then "../machines" else "machines"
+
+let test_empty_kernel_memo () =
+  let fresh machine =
+    match
+      Core.run_reference machine (Memory.create machine)
+        (compile_exn [ i Insn.RET [] ])
+    with
+    | Ok o -> o.Core.cycles
+    | Error e -> Alcotest.fail (Core.error_to_string e)
+  in
+  let files =
+    Sys.readdir machines_dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".xml")
+    |> List.sort compare
+  in
+  check_bool "machine presets present" true (List.length files >= 3);
+  let machines =
+    List.map
+      (fun f ->
+        match Config_io.of_file (Filename.concat machines_dir f) with
+        | Ok m -> (f, m)
+        | Error msg -> Alcotest.failf "%s: %s" f msg)
+      files
+  in
+  let scaled =
+    Mt_launcher.Options.effective_machine
+      { (Mt_launcher.Options.default Config.nehalem_x5650_2s) with
+        Mt_launcher.Options.frequency_ghz = Some 1.6 }
+  in
+  List.iter
+    (fun (name, machine) ->
+      (* The first call may fill the table, the second must hit it. *)
+      for _ = 1 to 2 do
+        Alcotest.(check (float 0.)) name (fresh machine)
+          (Mt_launcher.Protocol.empty_kernel_cycles machine)
+      done)
+    (("frequency-scaled x5650", scaled) :: machines)
 
 (* ------------------------------------------------------------------ *)
 (* Allocation discipline                                               *)
@@ -412,6 +622,13 @@ let tests =
       test_equiv_empty_and_straightline;
     Alcotest.test_case "golden corpus x presets" `Quick test_golden_corpus;
     QCheck_alcotest.to_alcotest prop_random_programs;
+    Alcotest.test_case "reuse: directed sequences" `Quick test_reuse_directed;
+    Alcotest.test_case "reuse: refill near max_int" `Quick test_reuse_refill;
+    Alcotest.test_case "reuse: golden corpus x presets" `Quick
+      test_reuse_golden_corpus;
+    QCheck_alcotest.to_alcotest prop_random_reuse;
+    Alcotest.test_case "empty-kernel baseline memo" `Quick
+      test_empty_kernel_memo;
     Alcotest.test_case "zero minor words per instruction" `Quick
       test_zero_alloc_off_path;
     Alcotest.test_case "prefetches are not demand loads" `Quick

@@ -338,6 +338,58 @@ let test_openmp_mode () =
     Alcotest.(check string) "mode" "openmp:4" r.Report.mode;
     check_bool "value positive" true (r.Report.value > 0.)
 
+let test_openmp_failing_chunk_is_error () =
+  (* Too little fuel for any chunk: every simulation fails, and the
+     failure must surface as an error, never as a 0-cycle chunk. *)
+  let v = variant_u 1 in
+  let program = Variant.concrete_body v in
+  let abi = Option.get v.Variant.abi in
+  let starved =
+    { quick_opts with Options.openmp_threads = 4; max_instructions = 10 }
+  in
+  List.iter
+    (fun (what, opts) ->
+      check_bool (what ^ ": run") true
+        (Result.is_error (Openmp_mode.run opts program abi));
+      check_bool (what ^ ": region") true
+        (Result.is_error (Openmp_mode.region_cycles opts program abi)))
+    [
+      ("warm-up on", starved);
+      ("warm-up off", { starved with Options.warmup = false });
+      ( "dynamic schedule",
+        { starved with
+          Options.openmp_schedule = Options.Omp_dynamic;
+          openmp_chunk = Some 64 } );
+    ]
+
+let test_concurrent_simulations_match_sequential () =
+  (* Two serve-style systhreads, each measuring its own prepared
+     variant at the same time: each core's port rings belong to its own
+     memory pipeline, so interleaving the simulations (mid-call, at
+     the scheduler's ticks) must not change a single number. *)
+  let opts = { quick_opts with Options.array_bytes = 256 * 1024 } in
+  let measure_thrice u =
+    let v = variant_u u in
+    match
+      Protocol.prepare opts (Variant.concrete_body v) (Option.get v.Variant.abi)
+    with
+    | Error msg -> failwith msg
+    | Ok p ->
+      List.init 3 (fun _ ->
+          match Protocol.measure p with
+          | Ok r -> (r.Report.value, r.Report.experiments, r.Report.mem)
+          | Error msg -> failwith msg)
+  in
+  let unrolls = [ 1; 2 ] in
+  let sequential = List.map measure_thrice unrolls in
+  let concurrent = Array.make (List.length unrolls) [] in
+  List.mapi
+    (fun k u -> Thread.create (fun () -> concurrent.(k) <- measure_thrice u) ())
+    unrolls
+  |> List.iter Thread.join;
+  check_bool "concurrent reports equal sequential ones" true
+    (Array.to_list concurrent = sequential)
+
 let test_openmp_beats_sequential_on_big_array () =
   (* Large enough that the parallel-region overhead amortises (on the
      tiny default array OpenMP legitimately loses to its own fork/join
@@ -594,6 +646,10 @@ let tests =
     Alcotest.test_case "fork contention raises RAM cost" `Quick test_fork_contention_raises_ram_cost;
     Alcotest.test_case "fork non-local allocation" `Quick test_fork_nonlocal_allocation_saturates_earlier;
     Alcotest.test_case "openmp mode" `Quick test_openmp_mode;
+    Alcotest.test_case "openmp failing chunk is an error" `Quick
+      test_openmp_failing_chunk_is_error;
+    Alcotest.test_case "concurrent simulations match sequential" `Quick
+      test_concurrent_simulations_match_sequential;
     Alcotest.test_case "openmp beats sequential (big array)" `Quick test_openmp_beats_sequential_on_big_array;
     Alcotest.test_case "openmp overhead dominates tiny array" `Quick test_openmp_overhead_dominates_tiny_array;
     Alcotest.test_case "standalone mode" `Quick test_standalone_mode;

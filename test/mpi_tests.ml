@@ -157,6 +157,17 @@ let test_job_cycles_positive () =
   | Ok c -> check_bool "positive" true (c > 0.)
   | Error msg -> Alcotest.fail msg
 
+let test_failing_simulation_is_error () =
+  (* Too little fuel for the warm-up call: the failure must surface
+     from every entry point, not be ignored. *)
+  let v = Lazy.force variant in
+  let program = Variant.concrete_body v in
+  let abi = Option.get v.Variant.abi in
+  let starved = { (mpi_opts 4) with Options.max_instructions = 10 } in
+  check_bool "run" true (Result.is_error (Mpi_mode.run starved program abi));
+  check_bool "job cycles" true
+    (Result.is_error (Mpi_mode.job_cycles starved program abi))
+
 let test_options_count () = check_int "the option surface keeps growing" 40 Options.count
 
 let tests =
@@ -174,5 +185,7 @@ let tests =
     Alcotest.test_case "mpi halo costs show" `Quick test_mpi_halo_costs_show;
     Alcotest.test_case "mpi option validated" `Quick test_mpi_option_validated;
     Alcotest.test_case "job cycles positive" `Quick test_job_cycles_positive;
+    Alcotest.test_case "failing simulation is an error" `Quick
+      test_failing_simulation_is_error;
     Alcotest.test_case "options count" `Quick test_options_count;
   ]

@@ -401,6 +401,47 @@ let test_daemon_concurrent_clients () =
               (Mt_stats.Csv.to_string (Option.get summary.Client.csv)))
         results)
 
+let test_daemon_cache_hit_burst () =
+  (* A burst of cache-hit jobs: a worker can stream a job's Header and
+     Rows while the job's handler is still answering the submission.
+     Every response stream must parse, open with Accepted, and carry
+     the one-shot CSV.  The JSON job log writes (and flushes) a line
+     between the push and Accepted, which widens the window a racing
+     worker would need. *)
+  with_daemon ~workers:2 ~queue:64 ~log_json:true (fun ~socket ~daemon:_ ->
+      let expected = one_shot_csv_text () in
+      (match Client.submit ~socket small_submission with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.failf "priming: %s" msg);
+      let clients = 24 in
+      for round = 1 to 3 do
+        let results = Array.make clients (Error "never ran") in
+        let firsts = Array.make clients None in
+        let on_response i r =
+          match firsts.(i) with None -> firsts.(i) <- Some r | Some _ -> ()
+        in
+        Array.init clients (fun i ->
+            Thread.create
+              (fun () ->
+                results.(i) <-
+                  Client.submit ~socket ~on_response:(on_response i)
+                    small_submission)
+              ())
+        |> Array.iter Thread.join;
+        Array.iteri
+          (fun i result ->
+            let who = Printf.sprintf "round %d, client %d" round i in
+            (match firsts.(i) with
+            | Some (Protocol.Accepted _) -> ()
+            | Some _ | None -> Alcotest.failf "%s: first line is not Accepted" who);
+            match result with
+            | Error msg -> Alcotest.failf "%s: %s" who msg
+            | Ok summary ->
+              check_string (who ^ ": CSV byte-identical") expected
+                (Mt_stats.Csv.to_string (Option.get summary.Client.csv)))
+          results
+      done)
+
 let test_daemon_bad_request () =
   with_daemon (fun ~socket ~daemon:_ ->
       let bad =
@@ -515,6 +556,8 @@ let suite =
     Alcotest.test_case "daemon end to end" `Quick test_daemon_end_to_end;
     Alcotest.test_case "daemon concurrent clients" `Quick
       test_daemon_concurrent_clients;
+    Alcotest.test_case "daemon cache-hit burst" `Quick
+      test_daemon_cache_hit_burst;
     Alcotest.test_case "daemon bad request" `Quick test_daemon_bad_request;
     Alcotest.test_case "prometheus rendering" `Quick test_prometheus_rendering;
     Alcotest.test_case "daemon metrics endpoint" `Quick
