@@ -339,13 +339,13 @@ let term =
 
 module Run_config = Microtools.Study.Run_config
 
-let setup (config : t) =
+let setup ?(always = false) (config : t) =
   Mt_telemetry.set_detail config.Run_config.trace_detail;
-  if
-    config.Run_config.trace_out <> None
-    || config.Run_config.metrics_out <> None
-  then begin
-    let tel = Mt_telemetry.create () in
+  let trace = config.Run_config.trace_out <> None in
+  if always || trace || config.Run_config.metrics_out <> None then begin
+    (* Only a trace file reads the per-event records; counters and
+       histograms are all a metrics file or a daemon's stats need. *)
+    let tel = Mt_telemetry.create ~trace () in
     Mt_telemetry.set_global tel;
     tel
   end

@@ -86,3 +86,25 @@ let reset_file rings (cfg : Config.t) =
   reset rings.(3) ~ports:cfg.fp_add_ports;
   reset rings.(4) ~ports:cfg.fp_mul_ports;
   reset rings.(5) ~ports:cfg.branch_ports
+
+(* A Treiber stack of idle files.  Every push conses a fresh cell, so a
+   compare-and-set against a cell another caller popped and pushed back
+   in the meantime fails (no ABA), and no lock is held across a call —
+   a systhread preempted mid-simulation blocks nobody. *)
+let pool : t array list Atomic.t = Atomic.make []
+
+let rec acquire cfg =
+  match Atomic.get pool with
+  | [] -> file cfg
+  | f :: rest as top ->
+    if Atomic.compare_and_set pool top rest then begin
+      reset_file f cfg;
+      f
+    end
+    else acquire cfg
+
+let rec release f =
+  let top = Atomic.get pool in
+  if not (Atomic.compare_and_set pool top (f :: top)) then release f
+
+let pooled () = Atomic.get pool

@@ -49,10 +49,26 @@ val book_from : t -> time:float -> occupancy:int -> float
 (** Float-facing {!book_span} from [ceil time], for the reference
     interpreter. *)
 
-val file : Config.t -> t array
-(** One ring per port group of the machine, in booker index order:
-    Load 0, Store 1, Alu 2, Fp_add 3, Fp_mul/Fp_div 4, Branch 5. *)
+(** {1 The ring pool}
 
-val reset_file : t array -> Config.t -> unit
-(** {!reset} every ring of a {!file} with the port counts of the given
-    machine. *)
+    Ring files are call-scoped: {!Core.run} takes one from a
+    process-wide lock-free pool on entry and gives it back on every
+    exit path.  A file taken from the pool belongs to that call alone,
+    so concurrent calls — on domains or on systhreads — never share a
+    ring, and the pool holds only as many files as calls ever ran at
+    once, however many memory pipelines are alive.  Ring sizes do not
+    depend on the machine, so one file serves any {!Config.t}. *)
+
+val acquire : Config.t -> t array
+(** Pop an idle file from the pool (or make a fresh one when the pool
+    is empty) and {!reset} each ring with the machine's port count.
+    The file holds one ring per port group, in booker index order:
+    Load 0, Store 1, Alu 2, Fp_add 3, Fp_mul/Fp_div 4, Branch 5.  The
+    caller owns it exclusively until {!release}. *)
+
+val release : t array -> unit
+(** Push a file back to the pool.  Release each acquired file exactly
+    once and do not use it afterwards. *)
+
+val pooled : unit -> t array list
+(** The idle files, most recently released first (for tests). *)

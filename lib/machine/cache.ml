@@ -3,11 +3,14 @@ type t = {
   sets : int;
   ways : int;
   line_shift : int;
-  (* tags.(set * ways + way) holds a line number, or -1 when invalid.
+  (* The tags of sets [64c, 64c + 64) live in [chunks.(c)], at
+     [(set land 63) * ways + way]: a line number, or -1 when invalid.
      Within a set, way 0 is most recently used: a hit moves its tag to
      the front, a miss shifts everything down and inserts at the front
-     (true LRU, cheap for the small associativities we model). *)
-  tags : int array;
+     (true LRU, cheap for the small associativities we model).  An
+     untouched chunk is the shared zero-length [empty_chunk], which
+     reads as all-invalid; the first miss into it materialises it. *)
+  chunks : int array array;
   mutable hit_count : int;
   mutable miss_count : int;
   (* Per-access observer for deep trace lanes; [None] (the default)
@@ -28,6 +31,12 @@ let log2_exact n =
   if n <= 0 || n land (n - 1) <> 0 then invalid_arg "Cache: not a power of two";
   go 0 n
 
+let chunk_shift = 6
+
+let chunk_sets = 1 lsl chunk_shift
+
+let empty_chunk : int array = [||]
+
 let create (geom : Config.cache_geom) =
   let sets = geom.size_bytes / (geom.line_bytes * geom.associativity) in
   if sets <= 0 then invalid_arg "Cache.create: set count must be positive";
@@ -36,7 +45,8 @@ let create (geom : Config.cache_geom) =
     sets;
     ways = geom.associativity;
     line_shift = log2_exact geom.line_bytes;
-    tags = Array.make (sets * geom.associativity) (-1);
+    chunks =
+      Array.make ((sets + chunk_sets - 1) lsr chunk_shift) empty_chunk;
     hit_count = 0;
     miss_count = 0;
     on_access = None;
@@ -55,14 +65,6 @@ let line_of_addr t addr = addr lsr t.line_shift
 let set_of_line t line =
   if t.sets land (t.sets - 1) = 0 then line land (t.sets - 1) else line mod t.sets
 
-let find_way t base line =
-  let rec go way =
-    if way >= t.ways then -1
-    else if t.tags.(base + way) = line then way
-    else go (way + 1)
-  in
-  go 0
-
 (* Self-contained: the way scan and LRU promotion are open-coded so the
    per-lookup cost is the loop itself — no inner-closure allocation and
    no helper calls on the path every simulated access takes. *)
@@ -80,10 +82,21 @@ let access t line =
   else begin
     Array.unsafe_set t.last_line set line;
     let ways = t.ways in
-    let base = set * ways in
-    let tags = t.tags in
-    (* [base + way < sets * ways = Array.length tags] throughout, so
-       the scan and the LRU shuffle skip the bounds checks. *)
+    let c = set lsr chunk_shift in
+    let tags =
+      let chunk = Array.unsafe_get t.chunks c in
+      if Array.length chunk > 0 then chunk
+      else begin
+        (* First miss into an untouched chunk: materialise it exactly
+           as an eager array would hold it, all-invalid. *)
+        let chunk = Array.make (chunk_sets * ways) (-1) in
+        Array.unsafe_set t.chunks c chunk;
+        chunk
+      end
+    in
+    let base = (set land (chunk_sets - 1)) * ways in
+    (* [base + way < chunk_sets * ways = Array.length tags] throughout,
+       so the scan and the LRU shuffle skip the bounds checks. *)
     let way = ref 0 in
     while !way < ways && Array.unsafe_get tags (base + !way) <> line do
       incr way
@@ -111,11 +124,19 @@ let access t line =
   end
 
 let probe t line =
-  let base = set_of_line t line * t.ways in
-  find_way t base line >= 0
+  let set = set_of_line t line in
+  let tags = t.chunks.(set lsr chunk_shift) in
+  (* An untouched chunk has no tags to scan: every way is invalid. *)
+  Array.length tags > 0
+  &&
+  let base = (set land (chunk_sets - 1)) * t.ways in
+  let rec go way =
+    way < t.ways && (tags.(base + way) = line || go (way + 1))
+  in
+  go 0
 
 let reset t =
-  Array.fill t.tags 0 (Array.length t.tags) (-1);
+  Array.fill t.chunks 0 (Array.length t.chunks) empty_chunk;
   t.hit_count <- 0;
   t.miss_count <- 0;
   Array.fill t.last_line 0 (Array.length t.last_line) min_int

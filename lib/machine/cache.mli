@@ -7,7 +7,7 @@ type t = {
   sets : int;
   ways : int;
   line_shift : int;
-  tags : int array;
+  chunks : int array array;
   mutable hit_count : int;
   mutable miss_count : int;
   mutable on_access : (hit:bool -> unit) option;
@@ -21,7 +21,22 @@ type t = {
     most-recently-used — a repeat is a guaranteed hit at way 0 with no
     LRU movement.  [set_mask] is [sets - 1] for power-of-two set
     counts, [min_int] otherwise (index by modulo).  Mutate only
-    through {!access} / {!reset}. *)
+    through {!access} / {!reset}.
+
+    The tags are stored lazily, per chunk of {!chunk_sets} consecutive
+    sets ([chunks.(set / chunk_sets)]), so a cache costs memory in
+    proportion to the sets a simulation touches rather than its
+    capacity.  Every chunk starts as one shared zero-length sentinel,
+    {!access} materialises a chunk on the first miss into it, and
+    {!reset} drops every chunk back to the sentinel.  The invariant:
+    an untouched chunk reads as all-invalid, exactly as an eagerly
+    filled one — {!access} and {!probe} give the same answers, and
+    leave the same LRU order, as on a flat array of invalid tags.
+    [last_line] stays a flat array (one slot per set), so the
+    repeat-line fast path never dereferences a chunk. *)
+
+val chunk_sets : int
+(** Sets per tag chunk (64). *)
 
 val create : Config.cache_geom -> t
 
@@ -29,7 +44,8 @@ val geometry : t -> Config.cache_geom
 
 val access : t -> int -> bool
 (** [access t line] looks up line number [line] (byte address divided by
-    the line size is the caller's job — see {!line_of_addr}); on a miss
+    the line size is the caller's job — see {!line_of_addr}; line
+    numbers are non-negative, [-1] marks an invalid way); on a miss
     the line is allocated, evicting the LRU way.  Returns [true] on
     hit. *)
 
@@ -47,7 +63,9 @@ val line_of_addr : t -> int -> int
 (** Byte address to line number. *)
 
 val reset : t -> unit
-(** Invalidate every line and zero the counters. *)
+(** Invalidate every line and zero the counters.  Drops every tag
+    chunk, so the cache holds no tag storage again until its next
+    miss. *)
 
 val hits : t -> int
 

@@ -322,8 +322,8 @@ let fast_of cp =
 (* ------------------------------------------------------------------ *)
 
 (* Port booking lives in {!Booker}.  The reference interpreter books
-   on fresh rings every call; [run] reuses the rings its memory
-   pipeline owns. *)
+   on fresh rings every call; [run] borrows a file from {!Booker}'s
+   pool for the duration of the call. *)
 type port_file = {
   load : Booker.t;
   store : Booker.t;
@@ -599,10 +599,6 @@ let run ?(init = []) ?(max_instructions = 50_000_000) ?trace ?attr
   let l1_lat_f = float_of_int cfg.l1_latency_cycles in
   let ready = Array.make slot_count 0. in
   let wissue = Array.make slot_count 0. in
-  (* The memory pipeline's rings, in booker index order; the O(1)
-     reset makes them book exactly as fresh ones would. *)
-  let bookers = memory.Memory.rings in
-  Booker.reset_file bookers cfg;
   let rob_size = cfg.rob_size in
   let rob = Array.make rob_size 0. in
   let decode_step = 1. /. float_of_int cfg.issue_width in
@@ -628,6 +624,10 @@ let run ?(init = []) ?(max_instructions = 50_000_000) ?trace ?attr
   (* Wrapping index equal to [c.issued mod rob_size], maintained by
      increment-and-compare so the loop never pays an integer division. *)
   let rob_idx = ref 0 in
+  (* A pooled ring file, in booker index order, owned by this call
+     alone; the O(1) reset makes it book exactly as a fresh one would.
+     Every exit path below gives it back. *)
+  let bookers = Booker.acquire cfg in
   (try
      while true do
        if !bid < 0 then raise_notrace Stop_run;
@@ -924,7 +924,15 @@ let run ?(init = []) ?(max_instructions = 50_000_000) ?trace ?attr
            bid := fb
          end)
      done
-   with Stop_run -> ());
+   with
+   | Stop_run -> ()
+   | e ->
+     (* A trace hook (or any other callee) raised: the file must not
+        leak out of the pool. *)
+     let bt = Printexc.get_raw_backtrace () in
+     Booker.release bookers;
+     Printexc.raise_with_backtrace e bt);
+  Booker.release bookers;
   match !err with
   | Some e -> Error e
   | None ->

@@ -67,16 +67,18 @@ val run :
     (cached on [compiled]) and the steady-state loop allocates no minor
     words per instruction on the non-memory path.
 
-    Port booking uses the rings the memory pipeline owns
-    ([memory.rings], one {!Booker.t} per port group), so a call costs
-    time in proportion to what it simulates rather than a fresh set of
-    rings.  The pipeline's single owner makes that safe: concurrent
-    calls on different pipelines never share a ring, and calls on one
-    pipeline must not overlap (as for its caches).  Each call first
-    resets the rings in O(1) by raising their key base past every key
-    an earlier call wrote ({!Booker.reset}), so stale slots read as
-    empty and the outcome is bit-identical to booking on fresh rings —
-    what {!run_reference} does.
+    Port booking borrows a ring file (one {!Booker.t} per port group)
+    from {!Booker}'s process-wide pool for the duration of the call, so
+    a call costs time in proportion to what it simulates rather than a
+    fresh set of rings, and a memory pipeline carries no rings of its
+    own.  The file is taken on entry and given back on every exit path
+    — also when a [trace] hook raises — so concurrent calls, on domains
+    or systhreads, never share a ring; calls on one pipeline must still
+    not overlap (as for its caches).  On entry the file is reset in
+    O(1) by raising its key base past every key an earlier call wrote
+    ({!Booker.reset}), so stale slots read as empty and the outcome is
+    bit-identical to booking on fresh rings — what {!run_reference}
+    does.
 
     [attr] hooks an {!Attribution} sink: every dynamic instruction's
     binding constraint is recorded into it (same classifications as

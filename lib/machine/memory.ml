@@ -70,8 +70,6 @@ type t = {
   mutable c_nt_stores : int;
   mutable last_level : level;
   mutable last_split : bool;
-  rings : Booker.t array;
-      (* the driving core's port rings: see the interface *)
 }
 
 (* TLB geometry shared by the Nehalem/Sandy Bridge generation the paper
@@ -140,7 +138,6 @@ let create ?(ram_sharers = 1) (cfg : Config.t) =
     c_nt_stores = 0;
     last_level = L1;
     last_split = false;
-    rings = Booker.file cfg;
   }
 
 let config t = t.cfg

@@ -47,13 +47,6 @@ type t = {
   mutable c_nt_stores : int;
   mutable last_level : level;
   mutable last_split : bool;
-  rings : Booker.t array;
-      (** The port rings of the core this pipeline serves, in
-          {!Booker.file} order.  They live here because a pipeline
-          already has exactly one owner — the core simulating against
-          it — so {!Core.run} can reuse them call after call (resetting
-          them in O(1)) without a shared cache.  Nothing else in this
-          module reads them. *)
 }
 (** Exposed concretely — like {!Exec.t} and {!Cache.t} — so
     {!Core.run}'s replay loop can open-code the steady-state access

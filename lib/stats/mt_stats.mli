@@ -172,7 +172,8 @@ module Csv : sig
   (** Render the document, RFC-4180-style quoting. *)
 
   val save : t -> string -> unit
-  (** [save t path] writes the document to [path]. *)
+  (** [save t path] writes the document to [path].  A write error
+      raises [Sys_error]; the channel is closed on every path. *)
 
   val row_count : t -> int
   (** Number of data rows added so far. *)

@@ -23,8 +23,14 @@ type t
 val disabled : t
 (** The no-op handle: records nothing, exports empty documents. *)
 
-val create : unit -> t
-(** A fresh enabled handle with its own clock epoch. *)
+val create : ?trace:bool -> unit -> t
+(** A fresh enabled handle with its own clock epoch.  [trace] (default
+    [true]) keeps every span event and series sample for
+    {!chrome_trace}; with [~trace:false] the handle still counts,
+    feeds the histograms and their quantile windows — everything the
+    metrics exports read — but retains no per-event record, so its
+    memory stays bounded however long it lives ({!events} and
+    {!samples} stay empty). *)
 
 val enabled : t -> bool
 (** [false] exactly for {!disabled}.  Instrumentation sites guard

@@ -302,8 +302,8 @@ let prop_random_programs =
 (* Ring reuse: one memory pipeline across many calls                   *)
 (* ------------------------------------------------------------------ *)
 
-(* [Core.run] books on the port rings its memory pipeline owns and
-   resets them in O(1) per call; [Core.run_reference] books on fresh
+(* [Core.run] books on a ring file borrowed from {!Booker}'s pool and
+   resets it in O(1) per call; [Core.run_reference] books on fresh
    rings.  Driving both through the same call sequence — each on its
    own pipeline, so caches warm identically — must give bit-identical
    outcomes at every step, including after calls that stop early and
@@ -364,14 +364,14 @@ let reuse_sequence machine prog init =
     ok;
   ]
 
-(* [before k m] runs on the fast engine's pipeline before call [k]. *)
-let check_reuse ?(what = "reuse") ?(machine = cfg) ?(before = fun _ _ -> ())
+(* [before k] runs before the fast engine's call [k]. *)
+let check_reuse ?(what = "reuse") ?(machine = cfg) ?(before = fun _ -> ())
     calls =
   let mem_fast = Memory.create machine in
   let mem_ref = Memory.create machine in
   List.iteri
     (fun k c ->
-      before k mem_fast;
+      before k;
       let run engine mem =
         engine ?init:(Some c.init) ?max_instructions:c.fuel ?trace:None
           ?attr:None machine mem c.prog
@@ -421,21 +421,26 @@ let test_reuse_directed () =
 
 let test_reuse_refill () =
   (* A ring whose keys approach max_int is refilled in full instead of
-     rebased; the refill must be as exact as the O(1) reset.  Pushing
-     [hi] up after the first call makes the second refill a ring that
-     still holds the first call's keys, which a rebase to 0 without
-     the refill would read back. *)
+     rebased; the refill must be as exact as the O(1) reset.  Calls
+     take their file from the pool's top and release it there, so
+     poking every pooled file reaches the file the next call takes.
+     Pushing [hi] up before the first call makes that call book from
+     key base 0, as a fresh ring does; pushing it up again makes the
+     second refill a ring that still holds the first call's keys,
+     which a rebase to 0 without the refill would read back. *)
   let rbx = Reg.gpr64 Reg.RBX in
   let prog =
     compile_exn
       (loop [ i Insn.ADD [ Operand.imm 1; Operand.reg rbx ] ])
   in
   check_reuse ~what:"refill near max_int"
-    ~before:(fun k m ->
-      if k = 1 then
-        Array.iter
-          (fun (r : Booker.t) -> r.Booker.hi <- max_int - 1)
-          m.Memory.rings)
+    ~before:(fun k ->
+      if k = 0 && Booker.pooled () = [] then
+        Booker.release (Booker.acquire cfg);
+      if k <= 1 then
+        List.iter
+          (Array.iter (fun (r : Booker.t) -> r.Booker.hi <- max_int - 1))
+          (Booker.pooled ()))
     (reuse_sequence cfg prog [ (rdi, 50) ])
 
 let test_reuse_golden_corpus () =
@@ -455,6 +460,118 @@ let prop_random_reuse =
         (reuse_sequence cfg (compile_exn program)
            [ (rdi, trips); (rsi, 1 lsl 22) ]);
       true)
+
+(* ------------------------------------------------------------------ *)
+(* The ring pool: one exclusive file per running call                  *)
+(* ------------------------------------------------------------------ *)
+
+let pooled_count () = List.length (Booker.pooled ())
+
+(* A load/store stream and a multi-cycle ALU/FP loop: both book every
+   port group, and the second wraps the 8192-cycle rings. *)
+let pool_programs =
+  lazy
+    (let rbx = Reg.gpr64 Reg.RBX in
+     [
+       ( compile_exn
+           (loop ~step:1
+              [
+                i Insn.MOVSS [ Operand.mem ~base:rsi (); Operand.reg (Reg.xmm 0) ];
+                i Insn.MOVSS
+                  [ Operand.reg (Reg.xmm 0); Operand.mem ~base:rsi ~disp:4096 () ];
+                i Insn.ADD [ Operand.imm 4; Operand.reg rsi ];
+              ]),
+         [ (rdi, 3000); (rsi, 1 lsl 22) ] );
+       ( compile_exn
+           (loop
+              [
+                i Insn.IMUL [ Operand.imm 3; Operand.reg rbx ];
+                i Insn.DIVSD [ Operand.reg (Reg.xmm 1); Operand.reg (Reg.xmm 2) ];
+              ]),
+         [ (rdi, 2000) ] );
+     ])
+
+(* Eight calls alternating the two programs on one fresh pipeline. *)
+let pool_calls engine =
+  let mem = Memory.create cfg in
+  List.concat
+    (List.init 4 (fun _ ->
+         List.map
+           (fun (prog, init) -> engine ?init:(Some init) cfg mem prog)
+           (Lazy.force pool_programs)))
+
+let run_engine engine ?init machine mem prog =
+  engine ?init ?max_instructions:None ?trace:None ?attr:None machine mem prog
+
+let test_pool_concurrent_callers () =
+  (* Two domains and two systhreads simulate at once, each on its own
+     pipeline.  Each call holds a file of its own, so no interleaving —
+     truly parallel on the domains, at the scheduler's ticks on the
+     threads — can change a number. *)
+  let expected = pool_calls (run_engine Core.run_reference) in
+  ignore (pool_calls (run_engine Core.run));
+  let before = pooled_count () in
+  let go () = pool_calls (run_engine Core.run) in
+  let domains = List.init 2 (fun _ -> Domain.spawn go) in
+  let threads = Array.make 2 [] in
+  List.init 2 (fun k -> Thread.create (fun () -> threads.(k) <- go ()) ())
+  |> List.iter Thread.join;
+  let results = List.map Domain.join domains @ Array.to_list threads in
+  List.iteri
+    (fun w outcomes ->
+      List.iteri
+        (fun k (fast, reference) ->
+          if fast <> reference then
+            Alcotest.failf "caller %d, call %d:\n  fast: %s\n  ref:  %s" w k
+              (show_result fast) (show_result reference))
+        (List.combine outcomes expected))
+    results;
+  check_bool "the pool grows only to the peak of concurrent calls" true
+    (pooled_count () <= max before 4)
+
+let test_pool_sequential_reuse () =
+  (* However many pipelines a sequential caller prepares (one per
+     variant, chunk or rank), its calls take turns on one file. *)
+  let prog, init = List.hd (Lazy.force pool_programs) in
+  ignore (Core.run ~init cfg (Memory.create cfg) prog);
+  let before = pooled_count () in
+  let top = List.hd (Booker.pooled ()) in
+  for _ = 1 to 12 do
+    ignore (Core.run ~init cfg (Memory.create cfg) prog)
+  done;
+  check_int "no file per pipeline" before (pooled_count ());
+  check_bool "the same file serves every call" true
+    (List.hd (Booker.pooled ()) == top)
+
+exception Trace_abort
+
+let test_pool_trace_raises () =
+  (* A trace hook that raises mid-call must not leak the call's file:
+     it goes back to the pool with the aborted call's bookings in it,
+     and the next call on it must still book as on fresh rings. *)
+  let prog, init = List.hd (Lazy.force pool_programs) in
+  ignore (Core.run ~init cfg (Memory.create cfg) prog);
+  let before = pooled_count () in
+  let top = List.hd (Booker.pooled ()) in
+  let seen = ref 0 in
+  let trace _ _ ~issue:_ ~completion:_ =
+    incr seen;
+    if !seen = 500 then raise Trace_abort
+  in
+  (match Core.run ~init ~trace cfg (Memory.create cfg) prog with
+  | exception Trace_abort -> ()
+  | _ -> Alcotest.fail "the trace hook's exception did not propagate");
+  check_int "the file is back in the pool" before (pooled_count ());
+  check_bool "it is the file the call took" true
+    (List.hd (Booker.pooled ()) == top);
+  List.iter
+    (fun (prog, init) ->
+      let fast = Core.run ~init cfg (Memory.create cfg) prog in
+      let reference = Core.run_reference ~init cfg (Memory.create cfg) prog in
+      if fast <> reference then
+        Alcotest.failf "after the abort:\n  fast: %s\n  ref:  %s"
+          (show_result fast) (show_result reference))
+    (Lazy.force pool_programs)
 
 (* ------------------------------------------------------------------ *)
 (* Empty-kernel baseline memo                                          *)
@@ -503,6 +620,46 @@ let test_empty_kernel_memo () =
 (* ------------------------------------------------------------------ *)
 (* Allocation discipline                                               *)
 (* ------------------------------------------------------------------ *)
+
+let test_memory_create_allocation () =
+  (* A fresh pipeline pays for what a simulation touches, not for its
+     capacity: tag storage is materialised per chunk on first miss and
+     the port rings belong to the calls, not the pipeline.  The bound is
+     a tenth of the eager layout — every cache's full tag array plus
+     its repeat-line table, and a pipeline-owned ring file — measured
+     with the GC's exact major-word counter. *)
+  let major_words () =
+    let _, _, major = Gc.counters () in
+    major
+  in
+  let files =
+    Sys.readdir machines_dir |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".xml")
+    |> List.sort compare
+  in
+  check_bool "machine presets present" true (List.length files >= 3);
+  List.iter
+    (fun f ->
+      let machine =
+        match Config_io.of_file (Filename.concat machines_dir f) with
+        | Ok m -> m
+        | Error msg -> Alcotest.failf "%s: %s" f msg
+      in
+      Gc.minor ();
+      let before = major_words () in
+      let m = Memory.create machine in
+      let words = major_words () -. before in
+      let eager =
+        List.fold_left
+          (fun acc (c : Cache.t) ->
+            acc + (Cache.set_count c * (c.Cache.ways + 1)))
+          (6 * 2 * Booker.window)
+          Memory.[ m.l1; m.l2; m.l3; m.dtlb; m.stlb ]
+      in
+      if words >= float_of_int eager /. 10. then
+        Alcotest.failf "%s: Memory.create allocated %.0f major words (eager \
+                        layout %d)" f words eager)
+    files
 
 let test_zero_alloc_off_path () =
   let rbx = Reg.gpr64 Reg.RBX in
@@ -627,8 +784,16 @@ let tests =
     Alcotest.test_case "reuse: golden corpus x presets" `Quick
       test_reuse_golden_corpus;
     QCheck_alcotest.to_alcotest prop_random_reuse;
+    Alcotest.test_case "pool: concurrent domains and threads" `Quick
+      test_pool_concurrent_callers;
+    Alcotest.test_case "pool: sequential calls share one file" `Quick
+      test_pool_sequential_reuse;
+    Alcotest.test_case "pool: raising trace hook returns the file" `Quick
+      test_pool_trace_raises;
     Alcotest.test_case "empty-kernel baseline memo" `Quick
       test_empty_kernel_memo;
+    Alcotest.test_case "Memory.create allocates a tenth of eager" `Quick
+      test_memory_create_allocation;
     Alcotest.test_case "zero minor words per instruction" `Quick
       test_zero_alloc_off_path;
     Alcotest.test_case "prefetches are not demand loads" `Quick

@@ -364,8 +364,8 @@ let test_openmp_failing_chunk_is_error () =
 
 let test_concurrent_simulations_match_sequential () =
   (* Two serve-style systhreads, each measuring its own prepared
-     variant at the same time: each core's port rings belong to its own
-     memory pipeline, so interleaving the simulations (mid-call, at
+     variant at the same time: each call books on a ring file of its
+     own from the pool, so interleaving the simulations (mid-call, at
      the scheduler's ticks) must not change a single number. *)
   let opts = { quick_opts with Options.array_bytes = 256 * 1024 } in
   let measure_thrice u =

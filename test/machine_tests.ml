@@ -127,6 +127,128 @@ let prop_cache_working_set_fits =
       List.iter (fun l -> ignore (Cache.access c l)) lines;
       List.for_all (fun l -> Cache.probe c l) lines)
 
+(* The lazily chunked tag store against a flat, eager LRU model: an
+   array of every set's tags, filled with -1 up front, way 0 most
+   recently used.  Driving both with the same random access / probe /
+   reset sequence must give the same answers, the same counters and,
+   read through the chunks, the same tags in the same LRU order. *)
+module Eager = struct
+  type t = {
+    sets : int;
+    ways : int;
+    tags : int array;
+    mutable hits : int;
+    mutable misses : int;
+  }
+
+  let create ~sets ~ways =
+    { sets; ways; tags = Array.make (sets * ways) (-1); hits = 0; misses = 0 }
+
+  let find t line =
+    let base = line mod t.sets * t.ways in
+    let rec go w = if w = t.ways then -1 else if t.tags.(base + w) = line then w else go (w + 1) in
+    (base, go 0)
+
+  let access t line =
+    let base, way = find t line in
+    let hit = way >= 0 in
+    if hit then t.hits <- t.hits + 1 else t.misses <- t.misses + 1;
+    let from = if hit then way else t.ways - 1 in
+    Array.blit t.tags base t.tags (base + 1) from;
+    t.tags.(base) <- line;
+    hit
+
+  let probe t line = snd (find t line) >= 0
+
+  let reset t =
+    Array.fill t.tags 0 (Array.length t.tags) (-1);
+    t.hits <- 0;
+    t.misses <- 0
+end
+
+type cache_op = Access of int | Probe of int | Reset
+
+let show_cache_op = function
+  | Access l -> Printf.sprintf "access %d" l
+  | Probe l -> Printf.sprintf "probe %d" l
+  | Reset -> "reset"
+
+(* The lazy cache's tag of [way] in [set]: -1 in an untouched chunk. *)
+let lazy_tag (c : Cache.t) set way =
+  let chunk = c.Cache.chunks.(set / Cache.chunk_sets) in
+  if Array.length chunk = 0 then -1
+  else chunk.((set mod Cache.chunk_sets * c.Cache.ways) + way)
+
+(* Lines confined to a few sets (so ways conflict and evict) or spread
+   over all of them (so most chunks stay untouched), with a handful of
+   tags per set. *)
+let cache_ops_arb ~sets ~ways =
+  let open QCheck.Gen in
+  let line =
+    let* set = oneof [ int_range 0 (min 3 (sets - 1)); int_range 0 (sets - 1) ] in
+    let+ tag = int_range 0 (ways + 1) in
+    (tag * sets) + set
+  in
+  let op =
+    frequency
+      [ (8, map (fun l -> Access l) line); (3, map (fun l -> Probe l) line);
+        (1, return Reset) ]
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map show_cache_op ops))
+    (list_size (int_range 0 300) op)
+
+let lazy_matches_eager what (c : Cache.t) ops =
+  let sets = Cache.set_count c and ways = c.Cache.ways in
+  let e = Eager.create ~sets ~ways in
+  Cache.reset c;
+  let agree =
+    List.for_all
+      (fun op ->
+        let same =
+          match op with
+          | Access l -> Cache.access c l = Eager.access e l
+          | Probe l -> Cache.probe c l = Eager.probe e l
+          | Reset ->
+            Cache.reset c;
+            Eager.reset e;
+            true
+        in
+        same && Cache.hits c = e.Eager.hits && Cache.misses c = e.Eager.misses)
+      ops
+  in
+  if not agree then QCheck.Test.fail_reportf "%s: answers diverge" what;
+  (* Probe one line in every chunk, touched or not, then compare the
+     whole tag store way by way. *)
+  for set = 0 to sets - 1 do
+    if set mod Cache.chunk_sets = 0 && Cache.probe c set <> Eager.probe e set then
+      QCheck.Test.fail_reportf "%s: probe of set %d diverges" what set;
+    for way = 0 to ways - 1 do
+      if lazy_tag c set way <> e.Eager.tags.((set * ways) + way) then
+        QCheck.Test.fail_reportf "%s: set %d way %d diverges" what set way
+    done
+  done;
+  true
+
+let prop_lazy_cache_matches_eager =
+  (* 100 sets (not a multiple of the 64-set chunk), 2 ways. *)
+  let geom = { Config.size_bytes = 100 * 2 * 64; associativity = 2; line_bytes = 64 } in
+  let c = Cache.create geom in
+  QCheck.Test.make ~count:200 ~name:"cache: lazy chunks match an eager LRU (100 sets)"
+    (cache_ops_arb ~sets:(Cache.set_count c) ~ways:c.Cache.ways)
+    (lazy_matches_eager "100 sets" c)
+
+let prop_lazy_sliced_l3_matches_eager =
+  (* Five DRAM sharers per socket slice the X5650 L3 to 2457 16-way
+     sets: neither a power of two nor a multiple of the chunk. *)
+  let l3 = (Memory.create ~ram_sharers:10 x5650).Memory.l3 in
+  QCheck.Test.make ~count:100
+    ~name:"cache: lazy chunks match an eager LRU (sliced L3)"
+    (cache_ops_arb ~sets:(Cache.set_count l3) ~ways:l3.Cache.ways)
+    (fun ops ->
+      check_int "sliced set count" 2457 (Cache.set_count l3);
+      lazy_matches_eager "sliced L3" l3 ops)
+
 (* ------------------------------------------------------------------ *)
 (* Memory pipeline                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -523,6 +645,8 @@ let tests =
     Alcotest.test_case "cache line_of_addr" `Quick test_cache_line_of_addr;
     Alcotest.test_case "cache with non-pow2 sets" `Quick test_cache_non_pow2_sets;
     QCheck_alcotest.to_alcotest prop_cache_working_set_fits;
+    QCheck_alcotest.to_alcotest prop_lazy_cache_matches_eager;
+    QCheck_alcotest.to_alcotest prop_lazy_sliced_l3_matches_eager;
     Alcotest.test_case "memory L1 hit latency" `Quick test_memory_l1_hit_latency;
     Alcotest.test_case "memory cold miss is RAM" `Quick test_memory_cold_miss_is_ram;
     Alcotest.test_case "memory split access" `Quick test_memory_split_access;

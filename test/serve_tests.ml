@@ -504,6 +504,45 @@ let test_daemon_metrics_endpoint () =
             check_bool "exposition has exec-latency summary" true
               (string_contains "# TYPE serve_job_exec_us summary" text)))
 
+(* An untraced daemon's telemetry is set up exactly as mt_serve sets it
+   up without --trace-out: a burst of jobs must leave no span events
+   behind (they would grow the daemon's memory with every job), while
+   the counters and latency windows behind the stats reply stay. *)
+let test_daemon_untraced_retains_no_spans () =
+  let prev = Mt_telemetry.global () in
+  let tel =
+    Mt_cli.setup ~always:true (Microtools.Study.Run_config.make ())
+  in
+  Fun.protect
+    ~finally:(fun () -> Mt_telemetry.set_global prev)
+    (fun () ->
+      check_bool "telemetry on" true (Mt_telemetry.enabled tel);
+      with_daemon (fun ~socket ~daemon:_ ->
+          Array.init 6 (fun _ ->
+              Thread.create
+                (fun () ->
+                  match Client.submit ~socket small_submission with
+                  | Ok _ -> ()
+                  | Error msg -> Alcotest.failf "submit: %s" msg)
+                ())
+          |> Array.iter Thread.join;
+          check_int "no span events retained" 0
+            (List.length (Mt_telemetry.events tel));
+          check_int "no series samples retained" 0
+            (List.length (Mt_telemetry.samples tel));
+          check_bool "spans still feed their histograms" true
+            (Mt_telemetry.histograms tel <> []);
+          match Client.stats ~socket with
+          | Error msg -> Alcotest.failf "stats: %s" msg
+          | Ok counters ->
+            check_int "every job completed" 6
+              (List.assoc "serve.jobs.completed" counters);
+            List.iter
+              (fun k ->
+                check_bool (k ^ " present") true (List.mem_assoc k counters))
+              [ "serve.job.exec.us.p50"; "serve.job.exec.us.p99";
+                "serve.job.queue_wait.us.p50"; "serve.job.queue_wait.us.p99" ]))
+
 (* --history-dir: every completed job lands in the archive, in order. *)
 let test_daemon_history_archive () =
   let dir = temp_dir "mtservehist" in
@@ -562,6 +601,8 @@ let suite =
     Alcotest.test_case "prometheus rendering" `Quick test_prometheus_rendering;
     Alcotest.test_case "daemon metrics endpoint" `Quick
       test_daemon_metrics_endpoint;
+    Alcotest.test_case "daemon untraced retains no spans" `Quick
+      test_daemon_untraced_retains_no_spans;
     Alcotest.test_case "daemon history archive" `Quick
       test_daemon_history_archive;
     Alcotest.test_case "daemon refuses live socket" `Quick

@@ -158,6 +158,24 @@ let test_span_records_on_exception () =
   | [ _; after ] -> check_int "depth restored" 0 after.Mt_telemetry.depth
   | _ -> Alcotest.fail "expected two events"
 
+let test_untraced_handle_keeps_no_events () =
+  (* [~trace:false] drops every per-event record (spans, emitted lane
+     events, series points) but keeps what the metrics exports read. *)
+  let t = Mt_telemetry.create ~trace:false () in
+  for _ = 1 to 3 do
+    Mt_telemetry.span t "job" (fun () -> Mt_telemetry.incr t "jobs")
+  done;
+  Mt_telemetry.emit t "lane" ~start_us:0. ~dur_us:1.;
+  Mt_telemetry.series t "occupancy" [ ("l1", 1.) ];
+  check_bool "no events" true (Mt_telemetry.events t = []);
+  check_bool "no samples" true (Mt_telemetry.samples t = []);
+  check_int "counter kept" 3 (Mt_telemetry.counter t "jobs");
+  (match List.assoc_opt "span.job.us" (Mt_telemetry.histograms t) with
+  | Some h -> check_int "span histogram kept" 3 h.Mt_telemetry.count
+  | None -> Alcotest.fail "no span histogram");
+  check_bool "span quantile kept" true
+    (Mt_telemetry.quantile t "span.job.us" 50. <> None)
+
 (* ------------------------------------------------------------------ *)
 (* Disabled handle: strictly a no-op                                   *)
 (* ------------------------------------------------------------------ *)
@@ -356,6 +374,8 @@ let tests =
     Alcotest.test_case "spans nest" `Quick test_span_nesting;
     Alcotest.test_case "span records on exception" `Quick
       test_span_records_on_exception;
+    Alcotest.test_case "untraced handle keeps no events" `Quick
+      test_untraced_handle_keeps_no_events;
     Alcotest.test_case "disabled handle is a no-op" `Quick test_disabled_noop;
     Alcotest.test_case "global defaults to disabled" `Quick
       test_global_defaults_disabled;
