@@ -49,7 +49,8 @@ let run opts program abi =
         ~calls_per_experiment:opts.Options.repetitions
         ~overhead_exceeded:
           (List.exists (fun r -> r.Report.overhead_exceeded) per_core)
-        ?mem:first.Report.mem ~thresholds:opts.Options.quality
+        ?mem:first.Report.mem ?profile:first.Report.profile
+        ~thresholds:opts.Options.quality
         ~quality_seed:opts.Options.quality_seed mean_per_experiment
     in
     Ok { aggregate; per_core }

@@ -12,7 +12,9 @@ open Mt_creator
 
 type outcome = {
   aggregate : Report.t;
-      (** Per-experiment mean across processes — the Figure 14 series. *)
+      (** Per-experiment mean across processes — the Figure 14 series.
+          Its memory counters and profile are the per-core reports'
+          (one simulation stands behind them all). *)
   per_core : Report.t list;  (** One report per forked process. *)
 }
 

@@ -9,36 +9,27 @@ let with_csv opts result =
     result
   | (Ok _ | Error _), _ -> result
 
-let run_sequential opts source =
-  let* program, abi = Source.load source in
-  let* prepared = Protocol.prepare opts program abi in
-  with_csv opts (Protocol.measure ~mode:"seq" prepared)
-
-let run_fork opts source =
-  let* program, abi = Source.load source in
-  Fork_mode.run opts program abi
-
-let run_openmp opts source =
-  let* program, abi = Source.load source in
-  with_csv opts (Openmp_mode.run opts program abi)
-
-let run_mpi opts source =
-  let* program, abi = Source.load source in
-  with_csv opts (Mpi_mode.run opts program abi)
+(* The one mode dispatch.  [Options.validate] (run by every mode's
+   prepare) rejects more than one mode, so the order here never
+   decides between them. *)
+let dispatch ~seq_mode opts program abi =
+  if opts.Options.mpi_ranks > 0 then Mpi_mode.run opts program abi
+  else if opts.Options.openmp_threads > 0 then Openmp_mode.run opts program abi
+  else if opts.Options.cores > 1 then
+    Result.map (fun r -> r.Fork_mode.aggregate) (Fork_mode.run opts program abi)
+  else
+    let* prepared = Protocol.prepare opts program abi in
+    Protocol.measure ~mode:seq_mode prepared
 
 let launch opts source =
-  if opts.Options.mpi_ranks > 0 then run_mpi opts source
-  else if opts.Options.openmp_threads > 0 then run_openmp opts source
-  else if opts.Options.cores > 1 then
-    with_csv opts
-      (Result.map (fun r -> r.Fork_mode.aggregate) (run_fork opts source))
-  else run_sequential opts source
+  let* program, abi = Source.load source in
+  with_csv opts (dispatch ~seq_mode:"seq" opts program abi)
 
 (* A stand-alone program has no trip count or arrays: give it a trivial
    ABI and report whole-call times.  "The advantage of using
-   MicroLauncher is the multi-core aspect" (Section 4.1): with
-   [opts.cores > 1] the program is forked onto that many cores and the
-   aggregate reported. *)
+   MicroLauncher is the multi-core aspect" (Section 4.1): every launch
+   mode applies, so with [opts.cores > 1] the program is forked onto
+   that many cores and the aggregate reported. *)
 let run_standalone opts program =
   let abi =
     {
@@ -54,13 +45,7 @@ let run_standalone opts program =
     }
   in
   let opts = { opts with Options.per = Options.Per_call; trip_passes = Some 1 } in
-  if opts.Options.cores > 1 then
-    with_csv opts
-      (Result.map (fun r -> r.Fork_mode.aggregate) (Fork_mode.run opts program abi))
-  else begin
-    let* prepared = Protocol.prepare opts program abi in
-    with_csv opts (Protocol.measure ~mode:"standalone" prepared)
-  end
+  with_csv opts (dispatch ~seq_mode:"standalone" opts program abi)
 
 let run_variants opts variants =
   List.map

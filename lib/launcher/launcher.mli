@@ -4,30 +4,22 @@
 
 open Mt_creator
 
-val run_sequential : Options.t -> Source.t -> (Report.t, string) result
-(** Pinned single-core execution with the full stability protocol. *)
-
-val run_fork : Options.t -> Source.t -> (Fork_mode.outcome, string) result
-(** The same kernel forked onto [opts.cores] cores. *)
-
-val run_openmp : Options.t -> Source.t -> (Report.t, string) result
-(** OpenMP parallel-for execution on [opts.openmp_threads] threads. *)
-
-val run_mpi : Options.t -> Source.t -> (Report.t, string) result
-(** SPMD execution over [opts.mpi_ranks] processes with per-phase
-    communication (see {!Mpi_mode}). *)
-
 val launch : Options.t -> Source.t -> (Report.t, string) result
-(** Mode dispatch: MPI when [mpi_ranks > 0], OpenMP when
-    [openmp_threads > 0], fork aggregate when [cores > 1], sequential
-    otherwise.  Writes the CSV when [opts.csv_path] is set. *)
+(** Load the kernel and run it in the mode the options select: MPI
+    when [mpi_ranks > 0], OpenMP when [openmp_threads > 0], fork
+    aggregate when [cores > 1], sequential otherwise
+    ({!Options.validate} rejects more than one).  Writes the CSV when
+    [opts.csv_path] is set.  For the per-core reports of a fork run,
+    use {!Fork_mode.run}. *)
 
 val run_standalone :
   Options.t -> Mt_isa.Insn.program -> (Report.t, string) result
 (** Stand-alone program mode (Section 4.1): time a whole program that
     has no launcher ABI — no arrays, no per-iteration normalisation,
-    value is per call.  With [opts.cores > 1] the program forks onto
-    that many cores (the mode's "multi-core aspect"). *)
+    value is per call.  Every launch mode applies as in {!launch}
+    (with [opts.cores > 1] the program forks onto that many cores, the
+    mode's "multi-core aspect"); a sequential run is labelled
+    ["standalone"]. *)
 
 val run_variants :
   Options.t -> Variant.t list -> (Variant.t * (Report.t, string) result) list

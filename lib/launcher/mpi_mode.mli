@@ -9,10 +9,10 @@
 open Mt_creator
 
 val run : Options.t -> Mt_isa.Insn.program -> Abi.t -> (Report.t, string) result
-(** Measure the kernel under SPMD execution.  The per-unit divisor
-    covers the whole pass space (all ranks), so values compare directly
-    against the sequential and OpenMP modes. *)
-
-val job_cycles :
-  Options.t -> Mt_isa.Insn.program -> Abi.t -> (float, string) result
-(** Core cycles of one full job (all repetitions/phases), for tests. *)
+(** Measure the kernel under SPMD execution through
+    {!Protocol.measure_totals}: the warm-up heats rank 0, whose
+    simulation stands for every rank, and one experiment is one job of
+    [opts.repetitions] phases.  The per-unit divisor covers the whole
+    pass space (all ranks), so values compare directly against the
+    sequential and OpenMP modes.  With [opts.profile] the report's
+    profile describes rank 0's measured calls, warm-up excluded. *)

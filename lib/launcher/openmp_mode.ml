@@ -1,16 +1,5 @@
 let ( let* ) = Result.bind
 
-let rec collect_chunks opts program abi threads = function
-  | [] -> Ok []
-  | (c : Mt_openmp.chunk) :: rest ->
-    let* prepared =
-      Protocol.prepare ~sharers:threads ~passes:c.Mt_openmp.iterations
-        ~start_pass:c.Mt_openmp.start_iteration ~noise_salt:c.Mt_openmp.thread opts
-        program abi
-    in
-    let* tail = collect_chunks opts program abi threads rest in
-    Ok ((c, prepared) :: tail)
-
 let runtime_of opts =
   let threads = opts.Options.openmp_threads in
   let rt = Mt_openmp.default_runtime ~threads in
@@ -24,24 +13,18 @@ let runtime_of opts =
   in
   { rt with Mt_openmp.schedule }
 
-let setup opts program abi =
-  let threads = opts.Options.openmp_threads in
-  if threads < 1 then Error "OpenMP mode requires openmp_threads >= 1"
-  else begin
-    let rt = runtime_of opts in
-    (* The whole iteration space, as loop passes of the kernel. *)
-    let total = Protocol.passes_for opts abi in
-    let chunks = Mt_openmp.chunks_of rt ~total in
-    let* prepared_chunks = collect_chunks opts program abi threads chunks in
-    Ok (rt, total, prepared_chunks)
-  end
-
-(* Each chunk runs on the state prepared for it; a failed simulation
-   fails the region. *)
-let one_region cfg rt prepared_chunks =
-  Mt_openmp.parallel_region cfg rt prepared_chunks
-    ~run_chunk:(fun _ p ~sharers:_ ->
-      Result.map (fun o -> o.Mt_machine.Core.cycles) (Protocol.run_once p))
+(* Each chunk gets a prepared state of its own: its passes, its start in
+   the arrays, its thread's noise. *)
+let rec prepare_chunks opts program abi = function
+  | [] -> Ok []
+  | (c : Mt_openmp.chunk) :: rest ->
+    let* prepared =
+      Protocol.prepare ~sharers:opts.Options.openmp_threads ~passes:c.Mt_openmp.iterations
+        ~start_pass:c.Mt_openmp.start_iteration ~noise_salt:c.Mt_openmp.thread opts
+        program abi
+    in
+    let* tail = prepare_chunks opts program abi rest in
+    Ok ((c, prepared) :: tail)
 
 (* Warm each thread's caches once, as the sequential protocol does. *)
 let rec warm = function
@@ -50,33 +33,37 @@ let rec warm = function
     let* _ = Protocol.run_once p in
     warm rest
 
-let region_cycles opts program abi =
-  let* rt, _, prepared_chunks = setup opts program abi in
-  let cfg = Options.effective_machine opts in
-  let* () = warm prepared_chunks in
-  one_region cfg rt prepared_chunks
-
 let run opts program abi =
-  let* rt, total, prepared_chunks = setup opts program abi in
-  match prepared_chunks with
-  | [] -> Error "OpenMP mode: empty iteration space"
-  | (_, first) :: _ ->
-    let cfg = Options.effective_machine opts in
-    let* () = if opts.Options.warmup then warm prepared_chunks else Ok () in
-    let rec experiment r acc =
-      if r = 0 then Ok acc
-      else
-        let* region = one_region cfg rt prepared_chunks in
-        experiment (r - 1) (acc +. opts.Options.call_overhead_cycles +. region)
-    in
-    let rec experiments n acc =
-      if n = 0 then Ok (List.rev acc)
-      else
-        let* total = experiment opts.Options.repetitions 0. in
-        experiments (n - 1) (total :: acc)
-    in
-    let* totals = experiments opts.Options.experiments [] in
-    Ok
-      (Protocol.report_of_totals
-         ~mode:(Printf.sprintf "openmp:%d" opts.Options.openmp_threads)
-         first ~actual_passes:total totals)
+  (* Validate before the schedule is built from the options. *)
+  let* () = Options.validate opts in
+  if opts.Options.openmp_threads < 1 then Error "OpenMP mode requires openmp_threads >= 1"
+  else
+    let rt = runtime_of opts in
+    (* The whole iteration space, as loop passes of the kernel. *)
+    let total = Protocol.passes_for opts abi in
+    let* chunks = prepare_chunks opts program abi (Mt_openmp.chunks_of rt ~total) in
+    match chunks with
+    | [] -> Error "OpenMP mode: empty iteration space"
+    | (_, first) :: _ ->
+      let cfg = Options.effective_machine opts in
+      (* One experiment is [repetitions] parallel regions.  Each chunk
+         runs on the state prepared for it; a failed simulation fails
+         the region. *)
+      let rec regions r acc =
+        if r = 0 then Ok acc
+        else
+          let* region =
+            Mt_openmp.parallel_region cfg rt chunks ~run_chunk:(fun _ p ~sharers:_ ->
+                Protocol.timed_call p)
+          in
+          regions (r - 1) (acc +. opts.Options.call_overhead_cycles +. region)
+      in
+      let* totals, _ =
+        Protocol.measure_totals ~warm:(fun () -> warm chunks)
+          ~experiment:(fun () -> regions opts.Options.repetitions 0.)
+          first
+      in
+      Ok
+        (Protocol.report_of_totals
+           ~mode:(Printf.sprintf "openmp:%d" opts.Options.openmp_threads)
+           first ~actual_passes:total totals)

@@ -6,11 +6,10 @@
 open Mt_creator
 
 val run : Options.t -> Mt_isa.Insn.program -> Abi.t -> (Report.t, string) result
-(** Measure the kernel under OpenMP.  The per-unit divisor covers the
-    whole iteration space (all threads together), so values compare
-    directly against the sequential mode's. *)
-
-val region_cycles :
-  Options.t -> Mt_isa.Insn.program -> Abi.t -> (float, string) result
-(** Core cycles of a single parallel region (for tests and the Table 2
-    wall-time extrapolation). *)
+(** Measure the kernel under OpenMP through {!Protocol.measure_totals}:
+    the warm-up heats every thread's chunk, and one experiment is
+    [opts.repetitions] parallel regions.  The per-unit divisor covers
+    the whole iteration space (all threads together), so values compare
+    directly against the sequential mode's.  With [opts.profile] the
+    report's profile describes thread 0's chunk (the first chunk of the
+    schedule) over the measured regions, warm-up excluded. *)

@@ -193,6 +193,37 @@ let validate t =
   let* () = if t.openmp_threads < 0 then err "openmp_threads must be >= 0" else Ok () in
   let* () = if t.mpi_ranks < 0 then err "mpi_ranks must be >= 0" else Ok () in
   let* () =
+    (* One launch mode per run: no silent precedence between them. *)
+    let flag on name n = if on then [ Printf.sprintf "--%s %d" name n ] else [] in
+    match
+      flag (t.cores > 1) "cores" t.cores
+      @ flag (t.openmp_threads > 0) "openmp" t.openmp_threads
+      @ flag (t.mpi_ranks > 0) "mpi" t.mpi_ranks
+    with
+    | _ :: _ :: _ as modes ->
+      err "conflicting launch modes %s: give at most one of --cores N>1, --openmp, --mpi"
+        (String.concat " " modes)
+    | [] | [ _ ] -> Ok ()
+  in
+  let* () =
+    if t.openmp_threads > 0 then Ok ()
+    else if t.openmp_schedule <> Omp_static then
+      err "--schedule is an OpenMP option: it needs --openmp"
+    else if t.openmp_chunk <> None then err "--chunk is an OpenMP option: it needs --openmp"
+    else Ok ()
+  in
+  let* () =
+    match t.mpi_halo_bytes with
+    | Some _ when t.mpi_ranks = 0 -> err "--halo is an MPI option: it needs --mpi"
+    | Some b when b < 0 -> err "--halo must be >= 0 bytes, got %d" b
+    | Some _ | None -> Ok ()
+  in
+  let* () =
+    match t.openmp_chunk with
+    | Some c when c < 1 -> err "--chunk must be >= 1, got %d" c
+    | Some _ | None -> Ok ()
+  in
+  let* () =
     if t.alignment_modulus <= 0 || t.alignment_modulus land (t.alignment_modulus - 1) <> 0
     then err "alignment_modulus must be a power of two"
     else Ok ()

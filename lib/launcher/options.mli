@@ -93,6 +93,11 @@ val alignment_for : t -> int -> int
     through [alignments]; 0 when the list is empty). *)
 
 val validate : t -> (unit, string) result
+(** Reject options no launch can honour, with a message naming the
+    offending flags: out-of-range counts and sizes, more than one
+    launch mode ([cores > 1], [openmp_threads > 0], [mpi_ranks > 0]),
+    an OpenMP schedule or chunk without OpenMP, a halo size without
+    MPI, a chunk below 1 and a negative halo. *)
 
 val summary : t -> (string * string) list
 (** Every measurement-shaping field rendered as a [(name, value)] pair,

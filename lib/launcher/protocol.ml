@@ -221,15 +221,31 @@ let convert p core_cycles =
   | Options.Rdtsc -> core_cycles *. Config.tsc_per_core_cycle p.cfg
   | Options.Wallclock_ns -> core_cycles /. p.cfg.Config.core_ghz
 
-let measure_totals p =
+(* One measured call: its core cycles.  Core.run resets the pipeline
+   counters per call, so the outcome's counters are exactly the
+   memory-hierarchy activity of this call. *)
+let timed_call p =
+  Result.map
+    (fun outcome ->
+      let tel = Mt_telemetry.global () in
+      if Mt_telemetry.enabled tel then
+        List.iter
+          (fun (k, v) -> Mt_telemetry.add tel ("mem." ^ k) v)
+          (Memory.counters_to_alist outcome.Core.mem);
+      outcome.Core.cycles)
+    (run_once p)
+
+let measure_totals ?warm ?experiment p =
   let opts = p.opts in
   let tel = Mt_telemetry.global () in
   let ( let* ) = Result.bind in
-  (* Cache heating (Section 4.5): one un-timed call. *)
+  (* Cache heating (Section 4.5): one un-timed call, or the mode's. *)
   let* first =
     if opts.Options.warmup then
       Mt_telemetry.span tel "launcher.warmup" (fun () ->
-          Result.map Option.some (run_once p))
+          match warm with
+          | Some warm -> Result.map (fun () -> None) (warm ())
+          | None -> Result.map Option.some (run_once p))
     else Ok None
   in
   (* The warm-up call is not a measurement: restart attribution so the
@@ -243,26 +259,21 @@ let measure_totals p =
     | (Some _ | None), _ -> p.passes
   in
   let reps = opts.Options.repetitions in
+  (* The sequential experiment: [reps] calls, each charged the call
+     overhead. *)
+  let sequential () =
+    let rec go r acc =
+      if r = 0 then Ok acc
+      else
+        let* cycles = timed_call p in
+        go (r - 1) (acc +. cycles +. opts.Options.call_overhead_cycles)
+    in
+    go reps 0.
+  in
+  let experiment = Option.value experiment ~default:sequential in
   let run_experiment () =
-    (* Each experiment is a span carrying the memory-hierarchy activity
-       it caused: Core.run resets the pipeline counters per call and
-       reports them in the outcome, so summing outcomes is exactly this
-       experiment's delta. *)
     Mt_telemetry.span tel "launcher.experiment" (fun () ->
-        let rec go r acc =
-          if r = 0 then Ok acc
-          else
-            match run_once p with
-            | Error msg -> Error msg
-            | Ok outcome ->
-              if Mt_telemetry.enabled tel then
-                List.iter
-                  (fun (k, v) -> Mt_telemetry.add tel ("mem." ^ k) v)
-                  (Memory.counters_to_alist outcome.Core.mem);
-              go (r - 1)
-                (acc +. outcome.Core.cycles +. opts.Options.call_overhead_cycles)
-        in
-        let result = go reps 0. in
+        let result = experiment () in
         if Result.is_ok result then Mt_telemetry.incr tel "launcher.experiments";
         result)
   in

@@ -61,11 +61,26 @@ val measure : ?mode:string -> prepared -> (Report.t, string) result
     are in the unit implied by the options ([rdtsc] reference cycles by
     default), divided by the per-unit count ([Per_pass] by default). *)
 
-val measure_totals : prepared -> (float list * int, string) result
-(** The raw protocol: un-perturbed per-experiment core-cycle totals
-    plus the kernel-reported pass count.  Parallel modes reuse one
-    simulation across symmetric processes and apply per-process noise
-    via {!report_of_totals}. *)
+val measure_totals :
+  ?warm:(unit -> (unit, string) result) ->
+  ?experiment:(unit -> (float, string) result) ->
+  prepared ->
+  (float list * int, string) result
+(** The raw protocol, the one experiment loop of every launch mode:
+    warm-up, attribution reset, the experiments and the adaptive RCIW
+    extension, with their spans and counters.  Returns un-perturbed
+    per-experiment core-cycle totals plus the kernel-reported pass
+    count.  [warm] replaces the warm-up call (run only with
+    [opts.warmup]; the pass count is then the prepared one);
+    [experiment] replaces the sequential experiment ([repetitions]
+    {!timed_call}s, each charged the call overhead) and returns one
+    experiment's raw total.  Parallel modes reuse one simulation across
+    symmetric processes and apply per-process noise via
+    {!report_of_totals}. *)
+
+val timed_call : prepared -> (float, string) result
+(** One measured kernel call: its core cycles, its memory-hierarchy
+    activity added to the [mem.*] counters. *)
 
 val report_of_totals :
   ?mode:string ->

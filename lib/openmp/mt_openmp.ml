@@ -129,11 +129,5 @@ let parallel_region cfg rt work ~run_chunk =
   in
   Ok (slowest +. region_overhead_cycles cfg rt)
 
-let parallel_for cfg rt ~total ~run_chunk =
-  Result.get_ok
-    (parallel_region cfg rt
-       (List.map (fun c -> (c, ())) (chunks_of rt ~total))
-       ~run_chunk:(fun c () ~sharers -> Ok (run_chunk c ~sharers)))
-
 let pin_map cfg rt =
   Array.init rt.threads (fun i -> i mod Config.core_count cfg)

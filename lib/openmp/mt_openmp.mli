@@ -42,22 +42,11 @@ val chunks_of : runtime -> total:int -> chunk list
 (** The schedule's chunking: every iteration is covered exactly once;
     threads with no work get no chunk.  For {!Dynamic} and {!Guided}
     the [thread] fields are provisional (round-robin) — the real
-    assignment happens greedily in {!parallel_for} as threads free
+    assignment happens greedily in {!parallel_region} as threads free
     up. *)
 
 val dispatch_overhead_ns : float
 (** Bookkeeping cost per dynamically dispatched chunk. *)
-
-val parallel_for :
-  Mt_machine.Config.t ->
-  runtime ->
-  total:int ->
-  run_chunk:(chunk -> sharers:int -> float) ->
-  float
-(** [parallel_for cfg rt ~total ~run_chunk] models one parallel region:
-    [run_chunk] returns the core cycles one thread needs for its chunk
-    when [sharers] threads stream concurrently; the region costs the
-    slowest thread plus fork/join overhead. *)
 
 val parallel_region :
   Mt_machine.Config.t ->
@@ -65,9 +54,13 @@ val parallel_region :
   (chunk * 'a) list ->
   run_chunk:(chunk -> 'a -> sharers:int -> (float, 'e) result) ->
   (float, 'e) result
-(** {!parallel_for} over chunks that each carry their own work item
-    (the caller's per-chunk state, e.g. a prepared kernel), so the
-    item reaches [run_chunk] with its chunk and no lookup can miss.
+(** [parallel_region cfg rt work ~run_chunk] models one parallel
+    region: [run_chunk] returns the core cycles one thread needs for
+    its chunk when [sharers] threads stream concurrently; the region
+    costs the slowest thread plus fork/join overhead.  Each chunk
+    carries its own work item (the caller's per-chunk state, e.g. a
+    prepared kernel), so the item reaches [run_chunk] with its chunk
+    and no lookup can miss.
     The chunk passed to [run_chunk] carries the thread it runs on,
     which for dynamic schedules may differ from the provisional one.
     The first [Error] from [run_chunk] ends the region and is

@@ -371,17 +371,17 @@ let test_dynamic_balances_skewed_chunks () =
   (* One chunk is 10x the others: dynamic dispatch keeps the other
      threads busy, so the region beats a static round-robin placement. *)
   let cfg = Config.sandy_bridge_e31240 in
-  let cost c ~sharers:_ =
-    if c.Mt_openmp.start_iteration = 0 then 100_000. else 10_000.
+  let region schedule =
+    let rt = { (Mt_openmp.default_runtime ~threads:2) with Mt_openmp.schedule } in
+    Mt_openmp.parallel_region cfg rt
+      (List.map
+         (fun c -> (c, if c.Mt_openmp.start_iteration = 0 then 100_000. else 10_000.))
+         (Mt_openmp.chunks_of rt ~total:8))
+      ~run_chunk:(fun _ cycles ~sharers:_ -> Ok cycles)
+    |> Result.get_ok
   in
-  let dyn =
-    let rt = { (Mt_openmp.default_runtime ~threads:2) with Mt_openmp.schedule = Mt_openmp.Dynamic 1 } in
-    Mt_openmp.parallel_for cfg rt ~total:8 ~run_chunk:cost
-  in
-  let stat =
-    let rt = { (Mt_openmp.default_runtime ~threads:2) with Mt_openmp.schedule = Mt_openmp.Static_chunk 1 } in
-    Mt_openmp.parallel_for cfg rt ~total:8 ~run_chunk:cost
-  in
+  let dyn = region (Mt_openmp.Dynamic 1) in
+  let stat = region (Mt_openmp.Static_chunk 1) in
   check_bool "dynamic no worse" true (dyn <= stat +. 1.)
 
 let test_launcher_openmp_schedules () =

@@ -276,7 +276,8 @@ let test_launch_dispatch_seq () =
 
 let test_fork_mode () =
   let opts = { quick_opts with Options.cores = 4; array_bytes = 64 * 1024 } in
-  match Launcher.run_fork opts (Source.From_variant (variant_u 1)) with
+  let v = variant_u 1 in
+  match Fork_mode.run opts (Variant.concrete_body v) (Option.get v.Variant.abi) with
   | Error msg -> Alcotest.fail msg
   | Ok outcome ->
     check_int "per-core reports" 4 (List.length outcome.Fork_mode.per_core);
@@ -287,6 +288,17 @@ let test_fork_mode () =
       check_bool "noise differs across cores" true
         (a.Report.experiments <> b.Report.experiments)
     | _ -> Alcotest.fail "expected cores")
+
+let test_fork_aggregate_keeps_profile () =
+  let opts = { quick_opts with Options.cores = 4; profile = true } in
+  let v = variant_u 1 in
+  match Fork_mode.run opts (Variant.concrete_body v) (Option.get v.Variant.abi) with
+  | Error msg -> Alcotest.fail msg
+  | Ok outcome ->
+    let per_core = (List.hd outcome.Fork_mode.per_core).Report.profile in
+    check_bool "per-core profile" true (per_core <> None);
+    check_bool "aggregate carries it" true
+      (outcome.Fork_mode.aggregate.Report.profile = per_core)
 
 let test_fork_contention_raises_ram_cost () =
   let ram_opts =
@@ -332,7 +344,7 @@ let test_fork_nonlocal_allocation_saturates_earlier () =
 
 let test_openmp_mode () =
   let opts = { quick_opts with Options.openmp_threads = 4 } in
-  match Launcher.run_openmp opts (Source.From_variant (variant_u 1)) with
+  match Launcher.launch opts (Source.From_variant (variant_u 1)) with
   | Error msg -> Alcotest.fail msg
   | Ok r ->
     Alcotest.(check string) "mode" "openmp:4" r.Report.mode;
@@ -350,9 +362,7 @@ let test_openmp_failing_chunk_is_error () =
   List.iter
     (fun (what, opts) ->
       check_bool (what ^ ": run") true
-        (Result.is_error (Openmp_mode.run opts program abi));
-      check_bool (what ^ ": region") true
-        (Result.is_error (Openmp_mode.region_cycles opts program abi)))
+        (Result.is_error (Openmp_mode.run opts program abi)))
     [
       ("warm-up on", starved);
       ("warm-up off", { starved with Options.warmup = false });
@@ -643,6 +653,8 @@ let tests =
     Alcotest.test_case "stability claim (Section 4.7)" `Quick test_stability_claim;
     Alcotest.test_case "launch dispatch seq" `Quick test_launch_dispatch_seq;
     Alcotest.test_case "fork mode" `Quick test_fork_mode;
+    Alcotest.test_case "fork aggregate keeps the profile" `Quick
+      test_fork_aggregate_keeps_profile;
     Alcotest.test_case "fork contention raises RAM cost" `Quick test_fork_contention_raises_ram_cost;
     Alcotest.test_case "fork non-local allocation" `Quick test_fork_nonlocal_allocation_saturates_earlier;
     Alcotest.test_case "openmp mode" `Quick test_openmp_mode;

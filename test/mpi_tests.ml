@@ -148,25 +148,17 @@ let test_mpi_option_validated () =
   check_bool "too many ranks rejected" true
     (Result.is_error (Options.validate { (mpi_opts 4) with Options.mpi_ranks = 99 }))
 
-let test_job_cycles_positive () =
-  let v = Lazy.force variant in
-  match
-    Mpi_mode.job_cycles (mpi_opts 4) (Variant.concrete_body v)
-      (Option.get v.Variant.abi)
-  with
-  | Ok c -> check_bool "positive" true (c > 0.)
-  | Error msg -> Alcotest.fail msg
-
 let test_failing_simulation_is_error () =
-  (* Too little fuel for the warm-up call: the failure must surface
-     from every entry point, not be ignored. *)
+  (* Too little fuel for any call: the failure must surface from the
+     warm-up and, without one, from the first job — never as 0 cycles. *)
   let v = Lazy.force variant in
   let program = Variant.concrete_body v in
   let abi = Option.get v.Variant.abi in
   let starved = { (mpi_opts 4) with Options.max_instructions = 10 } in
   check_bool "run" true (Result.is_error (Mpi_mode.run starved program abi));
-  check_bool "job cycles" true
-    (Result.is_error (Mpi_mode.job_cycles starved program abi))
+  check_bool "run without warm-up" true
+    (Result.is_error
+       (Mpi_mode.run { starved with Options.warmup = false } program abi))
 
 let test_options_count () = check_int "the option surface keeps growing" 40 Options.count
 
@@ -184,7 +176,6 @@ let tests =
     Alcotest.test_case "mpi scales cached work" `Quick test_mpi_scales_cached_work;
     Alcotest.test_case "mpi halo costs show" `Quick test_mpi_halo_costs_show;
     Alcotest.test_case "mpi option validated" `Quick test_mpi_option_validated;
-    Alcotest.test_case "job cycles positive" `Quick test_job_cycles_positive;
     Alcotest.test_case "failing simulation is an error" `Quick
       test_failing_simulation_is_error;
     Alcotest.test_case "options count" `Quick test_options_count;

@@ -49,19 +49,25 @@ let test_region_overhead_grows_with_threads () =
     (Mt_openmp.region_overhead_cycles cfg (rt 4)
     > Mt_openmp.region_overhead_cycles cfg (rt 2))
 
-let test_parallel_for_waits_for_slowest () =
-  let cost = Mt_openmp.parallel_for cfg (rt 4) ~total:8 ~run_chunk:(fun c ~sharers ->
-      check_int "sharers = active threads" 4 sharers;
-      if c.Mt_openmp.thread = 2 then 1000. else 10.)
-  in
+(* A region over the schedule's chunks, each carrying its cost. *)
+let region rt ~total cost =
+  Mt_openmp.parallel_region cfg rt
+    (List.map (fun c -> (c, cost c)) (Mt_openmp.chunks_of rt ~total))
+    ~run_chunk:(fun _ cycles ~sharers ->
+      check_int "sharers = active threads" (min rt.Mt_openmp.threads total) sharers;
+      Ok cycles)
+  |> Result.get_ok
+
+let test_parallel_region_waits_for_slowest () =
+  let cost = region (rt 4) ~total:8 (fun c -> if c.Mt_openmp.thread = 2 then 1000. else 10.) in
   check_bool "slowest thread dominates" true (cost >= 1000.);
   check_bool "plus overhead only" true
     (cost < 1000. +. Mt_openmp.region_overhead_cycles cfg (rt 4) +. 1.)
 
-let test_parallel_for_sums_per_thread_chunks () =
+let test_parallel_region_sums_per_thread_chunks () =
   let rt = { (rt 2) with Mt_openmp.schedule = Mt_openmp.Static_chunk 1 } in
   (* 4 chunks of size 1, 2 threads -> each thread runs 2 chunks of 50. *)
-  let cost = Mt_openmp.parallel_for cfg rt ~total:4 ~run_chunk:(fun _ ~sharers:_ -> 50.) in
+  let cost = region rt ~total:4 (fun _ -> 50.) in
   check_bool "two chunks per thread" true
     (cost >= 100. && cost < 100. +. Mt_openmp.region_overhead_cycles cfg rt +. 1.)
 
@@ -100,8 +106,8 @@ let tests =
     Alcotest.test_case "static chunked schedule" `Quick test_static_chunked_schedule;
     Alcotest.test_case "empty iteration space" `Quick test_empty_iteration_space;
     Alcotest.test_case "region overhead grows" `Quick test_region_overhead_grows_with_threads;
-    Alcotest.test_case "parallel_for waits for slowest" `Quick test_parallel_for_waits_for_slowest;
-    Alcotest.test_case "parallel_for sums chunks per thread" `Quick test_parallel_for_sums_per_thread_chunks;
+    Alcotest.test_case "parallel_region waits for slowest" `Quick test_parallel_region_waits_for_slowest;
+    Alcotest.test_case "parallel_region sums chunks per thread" `Quick test_parallel_region_sums_per_thread_chunks;
     Alcotest.test_case "pin map compact" `Quick test_pin_map_compact;
     Alcotest.test_case "threads validated" `Quick test_threads_validated;
     QCheck_alcotest.to_alcotest prop_chunks_partition;

@@ -32,6 +32,7 @@ let () =
       ("extensions", Extensions_tests.tests);
       ("cc", Cc_tests.tests);
       ("mpi", Mpi_tests.tests);
+      ("modes", Modes_tests.tests);
       ("regression", Regression_tests.tests);
       ("misc", Misc_tests.tests);
     ]
