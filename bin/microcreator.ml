@@ -45,7 +45,7 @@ let generate input out_dir language max_variants random_selection seed list_pass
       if language = "obj" then begin
         match Mt_creator.Creator.generate_from_file ~ctx input with
         | Ok variants ->
-          if not (Sys.file_exists out_dir) then Sys.mkdir out_dir 0o755;
+          Mt_durable.mkdir_p out_dir;
           let path = Filename.concat out_dir (Filename.remove_extension (Filename.basename input) ^ ".mto") in
           Mt_creator.Emit.write_object ~path variants;
           Printf.printf "bundled %d functions into %s\n" (List.length variants) path;

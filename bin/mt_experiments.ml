@@ -31,10 +31,10 @@ let run_ids ids quick csv_dir config =
         (match csv_dir with
         | None -> ()
         | Some dir ->
-          if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-          Mt_stats.Csv.save
-            (Microtools.Exp_table.to_csv table)
-            (Filename.concat dir (id ^ ".csv"))))
+          Mt_durable.mkdir_p dir;
+          Mt_durable.write
+            (Filename.concat dir (id ^ ".csv"))
+            (Mt_stats.Csv.to_string (Microtools.Exp_table.to_csv table))))
     outcomes;
   Mt_cli.print_cache_stats config;
   let code =

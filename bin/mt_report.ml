@@ -124,10 +124,7 @@ let timeline_json rows =
        rows)
 
 let write_json path json =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (Mt_obsv.Json.to_string ~indent:true json))
+  Mt_durable.write path (Mt_obsv.Json.to_string ~indent:true json)
 
 (* Comparable lineage = the archive filtered to the newest entry's
    kernel and machine hashes (or, when gating a CURRENT snapshot, to

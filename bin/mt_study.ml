@@ -14,10 +14,7 @@ open Cmdliner
 open Mt_launcher
 
 let read_file path =
-  let ic = open_in_bin path in
-  let text = really_input_string ic (in_channel_length ic) in
-  close_in ic;
-  text
+  match Mt_durable.read path with Ok text -> text | Error msg -> raise (Sys_error msg)
 
 (* Client mode: the same flags, round-tripped into an mt_serve
    submission.  The daemon streams back the header and per-variant CSV
@@ -54,7 +51,7 @@ let submit_run ~socket input machine machine_file array_kb per repetitions
   | Ok summary ->
     (match (csv, summary.Mt_serve.Client.csv) with
     | Some path, Some doc ->
-      Mt_stats.Csv.save doc path;
+      Mt_durable.write path (Mt_stats.Csv.to_string doc);
       Printf.printf "full results written to %s\n" path
     | Some _, None ->
       Printf.eprintf "mt_study: daemon streamed no result rows\n"
@@ -64,9 +61,7 @@ let submit_run ~socket input machine machine_file array_kb per repetitions
         summary.Mt_serve.Client.snapshot)
      with
     | Some path, Some doc ->
-      let oc = open_out path in
-      output_string oc (Mt_obsv.Json.to_string ~indent:true doc);
-      close_out oc;
+      Mt_durable.write path (Mt_obsv.Json.to_string ~indent:true doc);
       Printf.printf "run snapshot written to %s (compare with mt_report)\n" path
     | _ -> ());
     (* The daemon streams the snapshot back as JSON; --history-append in
@@ -129,10 +124,7 @@ let run input machine machine_file array_kb per repetitions experiments top
         experiments;
       }
     in
-    let ic = open_in_bin input in
-    let text = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    match Microtools.Study.of_description text opts with
+    match Microtools.Study.of_description (read_file input) opts with
     | Error msg ->
       Printf.eprintf "mt_study: %s: %s\n" input msg;
       1
@@ -203,7 +195,7 @@ let run input machine machine_file array_kb per repetitions experiments top
           quarantined;
         (match csv with
         | Some path ->
-          Mt_stats.Csv.save (Microtools.Study.csv outcomes) path;
+          Mt_durable.write path (Mt_stats.Csv.to_string (Microtools.Study.csv outcomes));
           Printf.printf "full results written to %s\n" path
         | None -> ());
         Mt_cli.print_cache_stats config;

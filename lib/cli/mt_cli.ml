@@ -384,13 +384,9 @@ let report_profiles (config : t) profiled =
       profiled;
     Option.iter
       (fun path ->
-        let oc = open_out path in
-        Fun.protect
-          ~finally:(fun () -> close_out_noerr oc)
-          (fun () ->
-            List.iter
-              (fun (key, b) -> output_string oc (Mt_profile.folded ~root:key b))
-              profiled);
+        Mt_durable.write path
+          (String.concat ""
+             (List.map (fun (key, b) -> Mt_profile.folded ~root:key b) profiled));
         Printf.printf
           "folded profile written to %s (feed to flamegraph.pl or speedscope)\n"
           path)

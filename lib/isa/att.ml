@@ -118,8 +118,6 @@ let parse_program text =
        lines)
 
 let parse_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
-  close_in ic;
-  parse_program text
+  match Mt_durable.read path with
+  | Ok text -> parse_program text
+  | Error msg -> raise (Sys_error msg)

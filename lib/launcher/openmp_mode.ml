@@ -14,7 +14,8 @@ let runtime_of opts =
   { rt with Mt_openmp.schedule }
 
 (* Each chunk gets a prepared state of its own: its passes, its start in
-   the arrays, its thread's noise. *)
+   the arrays, its thread's noise.  Only the first chunk's attribution
+   is reported, so the rest are prepared without a profile sink. *)
 let rec prepare_chunks opts program abi = function
   | [] -> Ok []
   | (c : Mt_openmp.chunk) :: rest ->
@@ -23,7 +24,7 @@ let rec prepare_chunks opts program abi = function
         ~start_pass:c.Mt_openmp.start_iteration ~noise_salt:c.Mt_openmp.thread opts
         program abi
     in
-    let* tail = prepare_chunks opts program abi rest in
+    let* tail = prepare_chunks { opts with Options.profile = false } program abi rest in
     Ok ((c, prepared) :: tail)
 
 (* Warm each thread's caches once, as the sequential protocol does. *)

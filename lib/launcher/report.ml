@@ -101,7 +101,8 @@ let csv ?(full = false) reports =
     reports;
   doc
 
-let save_csv ?full reports path = Mt_stats.Csv.save (csv ?full reports) path
+let save_csv ?full reports path =
+  Mt_durable.write path (Mt_stats.Csv.to_string (csv ?full reports))
 
 let pp fmt r =
   Format.fprintf fmt "%s [%s] %.3f %s/%s (min %.3f, max %.3f, n=%d)%s%s" r.id

@@ -203,14 +203,8 @@ let load = function
   | From_object (path, function_name) -> load_object path function_name
   | From_file path -> (
     if Filename.check_suffix path ".mto" then load_object path None
-    else if Filename.check_suffix path ".c" then begin
-      match open_in_bin path with
-      | exception Sys_error msg -> Error msg
-      | ic ->
-        let text = really_input_string ic (in_channel_length ic) in
-        close_in ic;
-        load_c_text text
-    end
+    else if Filename.check_suffix path ".c" then
+      Result.bind (Mt_durable.read path) load_c_text
     else
       match Att.parse_file path with
       | exception Att.Syntax_error msg -> Error msg

@@ -5,15 +5,14 @@
        manifest.jsonl          one line per archived run, seq-ordered
        snap-000007-1a2b3c4d5e6f.json   the schema-versioned snapshots
 
-   Snapshot files are content-digest named and written staged-then-
-   renamed (the Cache idiom), so a reader never sees a half-written
-   document; the manifest is appended one flushed line at a time under
-   the directory's advisory lock (the Cache eviction idiom), so
-   concurrent appenders — several CLI runs plus an mt_serve daemon
-   sharing one archive — get distinct sequence numbers and never
-   interleave bytes.  A process killed mid-append leaves at worst one
-   torn final line, which the loader drops and the next appender
-   repairs with a newline (the Journal idiom). *)
+   Snapshot files are content-digest named and written with
+   Mt_durable.write, so a reader never sees a half-written document;
+   the manifest is a Mt_durable.Jsonl log appended under the
+   directory's advisory lock, so concurrent appenders — several CLI
+   runs plus an mt_serve daemon sharing one archive — get distinct
+   sequence numbers and never interleave bytes.  A process killed
+   mid-append leaves at worst one torn final line, which the loader
+   drops and the next appender repairs. *)
 
 type entry = {
   seq : int;
@@ -86,83 +85,22 @@ let entry_of_line line =
   | Error _ -> None
   | Ok json -> entry_of_json json
 
-(* ------------------------------------------------------------------ *)
-(* File safety                                                         *)
-(* ------------------------------------------------------------------ *)
-
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error _ -> ()
-  end
-
-(* Same advisory-lock shape as the shared cache's eviction scan: the
-   lock file is dedicated so it never collides with archive content,
-   and lockf releases on process death, so a crashed appender cannot
-   wedge the archive.  An unlockable directory degrades to unguarded
-   appends — sequence collisions become possible but each append is
-   still one atomic rename plus one flushed write. *)
-let with_dir_lock dir f =
-  let lock_path = Filename.concat dir ".lock" in
-  match Unix.openfile lock_path [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644 with
-  | exception Unix.Unix_error _ -> f ()
-  | fd ->
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-      (fun () ->
-        (match Unix.lockf fd Unix.F_LOCK 0 with
-        | () -> ()
-        | exception Unix.Unix_error _ -> ());
-        f ())
-
-let read_file path =
-  match open_in_bin path with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        match really_input_string ic (in_channel_length ic) with
-        | text -> Ok text
-        | exception (End_of_file | Sys_error _) -> Error (path ^ ": short read"))
-
 (* Torn or foreign manifest lines are skipped, not fatal: the archive
    survives a SIGKILL mid-append losing only that one record. *)
 let read_manifest path =
-  match read_file path with
-  | Error _ -> []
-  | Ok text ->
-    List.fold_left
-      (fun acc line ->
-        if String.trim line = "" then acc
-        else match entry_of_line line with Some e -> e :: acc | None -> acc)
-      []
-      (String.split_on_char '\n' text)
-    |> List.sort (fun a b -> compare (a.seq, a.file) (b.seq, b.file))
-
-let ends_mid_line path =
-  match open_in_bin path with
-  | exception Sys_error _ -> false
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let len = in_channel_length ic in
-        len > 0
-        &&
-        (seek_in ic (len - 1);
-         input_char ic <> '\n'))
+  Result.value ~default:[] (Mt_durable.Jsonl.load path entry_of_line)
+  |> List.sort (fun a b -> compare (a.seq, a.file) (b.seq, b.file))
 
 (* ------------------------------------------------------------------ *)
 (* Append                                                              *)
 (* ------------------------------------------------------------------ *)
 
 let append ?label ~dir (snap : Snapshot.t) =
-  mkdir_p dir;
+  Mt_durable.mkdir_p dir;
   if not (Sys.file_exists dir && Sys.is_directory dir) then
     err "history: cannot create archive directory %s" dir
   else
-    with_dir_lock dir (fun () ->
+    Mt_durable.with_dir_lock dir (fun () ->
         let manifest = Filename.concat dir manifest_name in
         let existing = read_manifest manifest in
         let seq =
@@ -187,45 +125,20 @@ let append ?label ~dir (snap : Snapshot.t) =
             file;
           }
         in
-        (* Stage-and-rename: the snapshot document appears atomically
-           under its final name, never half-written.  The temp name
-           carries the pid so concurrent appenders (should the lock be
-           unavailable) cannot collide. *)
-        let tmp =
-          Filename.concat dir (Printf.sprintf ".tmp-%d-%06d" (Unix.getpid ()) seq)
-        in
+        (* The document is in place before the manifest names it, so a
+           death between the two leaves an unlisted file, never a
+           listed hole. *)
         match
-          let oc = open_out_bin tmp in
+          Mt_durable.write (Filename.concat dir file) text;
+          let w = Mt_durable.Jsonl.open_ ~append:true manifest in
           Fun.protect
-            ~finally:(fun () -> close_out_noerr oc)
-            (fun () -> output_string oc text)
+            ~finally:(fun () -> Mt_durable.Jsonl.close w)
+            (fun () -> Mt_durable.Jsonl.add w (Json.to_string (entry_to_json entry)))
         with
-        | exception Sys_error msg ->
-          (try Sys.remove tmp with Sys_error _ -> ());
-          err "history: %s" msg
-        | () -> (
-          match Sys.rename tmp (Filename.concat dir file) with
-          | exception Sys_error msg ->
-            (try Sys.remove tmp with Sys_error _ -> ());
-            err "history: %s" msg
-          | () -> (
-            let torn = ends_mid_line manifest in
-            match
-              open_out_gen
-                [ Open_wronly; Open_creat; Open_append; Open_binary ]
-                0o644 manifest
-            with
-            | exception Sys_error msg -> err "history: %s" msg
-            | oc ->
-              Fun.protect
-                ~finally:(fun () -> close_out_noerr oc)
-                (fun () ->
-                  if torn then output_char oc '\n';
-                  output_string oc (Json.to_string (entry_to_json entry));
-                  output_char oc '\n';
-                  flush oc);
-              Mt_telemetry.incr (Mt_telemetry.global ()) "history.appends";
-              Ok entry)))
+        | exception Sys_error msg -> err "history: %s" msg
+        | () ->
+          Mt_telemetry.incr (Mt_telemetry.global ()) "history.appends";
+          Ok entry)
 
 (* ------------------------------------------------------------------ *)
 (* Load and query                                                      *)
@@ -252,7 +165,7 @@ let snapshot t entry =
   | Some r -> r
   | None ->
     let r =
-      match read_file (Filename.concat t.dir entry.file) with
+      match Mt_durable.read (Filename.concat t.dir entry.file) with
       | Error msg -> err "history: %s" msg
       | Ok text -> (
         match Snapshot.of_string text with

@@ -100,5 +100,7 @@ val to_string : t -> string
 val of_string : string -> (t, string) result
 
 val save : t -> string -> unit
+(** Write {!to_string} through {!Mt_durable.write}: a crash leaves the
+    old document or the new one.  @raise Sys_error on a failed write. *)
 
 val load : string -> (t, string) result

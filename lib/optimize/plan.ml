@@ -285,21 +285,12 @@ let of_string s =
   | Error msg -> err "plan: %s" msg
   | Ok json -> of_json json
 
-let save t path =
-  let oc = open_out_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (to_string t))
+let save t path = Mt_durable.write path (to_string t)
 
 let load path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error msg -> err "%s" msg
-  | text -> (
+  match Mt_durable.read path with
+  | Error msg -> err "%s" msg
+  | Ok text -> (
     match of_string text with
     | Error msg -> err "%s: %s" path msg
     | Ok t -> Ok t)

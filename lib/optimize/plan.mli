@@ -108,4 +108,7 @@ val to_string : t -> string
 
 val of_string : string -> (t, string) result
 val save : t -> string -> unit
+(** Write {!to_string} through {!Mt_durable.write}.
+    @raise Sys_error on a failed write. *)
+
 val load : string -> (t, string) result

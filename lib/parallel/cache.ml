@@ -26,14 +26,8 @@ let default_dir () =
       Filename.concat (Filename.concat h ".cache") "microtools"
     | _ -> Filename.concat (Filename.get_temp_dir_name ()) "microtools-cache")
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
-  end
-
 let create ?dir ?max_bytes () =
-  Option.iter mkdir_p dir;
+  Option.iter Mt_durable.mkdir_p dir;
   {
     table = Hashtbl.create 256;
     lock = Mutex.create ();
@@ -63,48 +57,9 @@ let digest_key parts =
 
 let entry_path dir key = Filename.concat dir (key ^ ".bin")
 
-(* ------------------------------------------------------------------ *)
-(* Multi-process coordination                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* A cache directory may be shared by several processes at once (the
-   mt_serve daemon plus any number of one-shot CLI runs).  Entry writes
-   need no lock — they are rename-into-place atomic — but the eviction
-   scan does: two processes trimming the same directory concurrently
-   would double-count sizes and could race each other below the budget.
-   The advisory lock lives in a dedicated [.lock] file so it never
-   collides with an entry; it is released on close (also on process
-   death, so a crashed evictor cannot wedge the directory). *)
-let with_dir_lock dir f =
-  let lock_path = Filename.concat dir ".lock" in
-  match Unix.openfile lock_path [ Unix.O_WRONLY; Unix.O_CREAT ] 0o644 with
-  | exception Unix.Unix_error _ ->
-    (* Unlockable directory (read-only, exotic FS): run unguarded — the
-       worst case is a redundant eviction pass, not corruption. *)
-    f ()
-  | fd ->
-    Fun.protect
-      ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-      (fun () ->
-        (match Unix.lockf fd Unix.F_LOCK 0 with
-        | () -> ()
-        | exception Unix.Unix_error _ -> ());
-        f ())
-
 (* Best-effort mtime bump: disk hits refresh an entry's LRU recency so
    a hot entry shared between processes is the last to be evicted. *)
 let touch path = try Unix.utimes path 0. 0. with Unix.Unix_error _ -> ()
-
-let read_entry path =
-  match open_in_bin path with
-  | exception Sys_error _ -> None
-  | ic ->
-    let data =
-      try Some (really_input_string ic (in_channel_length ic))
-      with End_of_file | Sys_error _ -> None
-    in
-    close_in_noerr ic;
-    data
 
 let locked t f =
   Mutex.lock t.lock;
@@ -118,12 +73,12 @@ let find t key =
     | None, None -> None
     | None, Some dir -> (
       let path = entry_path dir key in
-      match read_entry path with
-      | Some data ->
+      match Mt_durable.read path with
+      | Ok data ->
         touch path;
         locked t (fun () -> Hashtbl.replace t.table key data);
         Some data
-      | None -> None)
+      | Error _ -> None)
   in
   (match result with
   | Some _ ->
@@ -180,6 +135,9 @@ let evict_to_budget t dir ~max_bytes ~keep =
       by_age
   end
 
+(* Entry writes need no lock, but two processes trimming one directory
+   at once would double-count sizes and race each other below the
+   budget: the scan runs under the directory's advisory lock. *)
 let maybe_evict t dir ~keep =
   match t.max_bytes with
   | None -> ()
@@ -188,29 +146,8 @@ let maybe_evict t dir ~keep =
     Fun.protect
       ~finally:(fun () -> Mutex.unlock t.evict_lock)
       (fun () ->
-        with_dir_lock dir (fun () -> evict_to_budget t dir ~max_bytes ~keep))
-
-(* Open a fresh temp file no other writer can hold.  The name carries
-   pid + domain id, so two processes sharing the directory (the daemon
-   and a CLI run, or two daemons) can never open the same [.tmp] and
-   interleave writes before the rename; [O_EXCL] turns any residual
-   collision (pid reuse after a crash left a stale file) into a retry
-   under a new suffix instead of a silent truncation. *)
-let open_exclusive_tmp path =
-  let pid = Unix.getpid () in
-  let domain = (Domain.self () :> int) in
-  let rec attempt n =
-    if n > 1000 then None
-    else
-      let tmp = Printf.sprintf "%s.%d.%d.%d.tmp" path pid domain n in
-      match
-        Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_EXCL ] 0o644
-      with
-      | fd -> Some (tmp, fd)
-      | exception Unix.Unix_error (Unix.EEXIST, _, _) -> attempt (n + 1)
-      | exception Unix.Unix_error _ -> None
-  in
-  attempt 0
+        Mt_durable.with_dir_lock dir (fun () ->
+            evict_to_budget t dir ~max_bytes ~keep))
 
 let store t key data =
   Mt_telemetry.incr (Mt_telemetry.global ()) "cache.stores";
@@ -218,21 +155,13 @@ let store t key data =
   match t.dir with
   | None -> ()
   | Some dir -> (
-    (* Write to a unique temp file in the same directory, then rename:
-       a concurrent reader sees either no entry or a complete one. *)
+    (* Staged and renamed: a concurrent reader sees either no entry or a
+       complete one.  An unwritable directory degrades to memory-only:
+       the cache is an accelerator, not a source of truth. *)
     let path = entry_path dir key in
-    match open_exclusive_tmp path with
-    | None -> () (* unwritable dir: degrade to memory-only *)
-    | Some (tmp, fd) -> (
-      match
-        let oc = Unix.out_channel_of_descr fd in
-        output_string oc data;
-        close_out oc;
-        Sys.rename tmp path
-      with
-      | () -> maybe_evict t dir ~keep:path
-      | exception (Sys_error _ | Unix.Unix_error (_, _, _)) ->
-        (try Sys.remove tmp with Sys_error _ -> ())))
+    match Mt_durable.write path data with
+    | () -> maybe_evict t dir ~keep:path
+    | exception Sys_error _ -> ())
 
 let with_cache c ~key compute ~encode ~decode =
   match c with

@@ -1,9 +1,8 @@
 open Mt_obsv
 
-(* One JSON object per line, flushed per record: after a SIGKILL the
-   file is a valid journal up to (at worst) one torn final line, which
-   the loader drops.  Values are hex-encoded so arbitrary Marshal bytes
-   survive the JSON string round-trip. *)
+(* The hex codec over Mt_durable's JSON-lines appender: values are
+   hex-encoded so arbitrary Marshal bytes survive the JSON string
+   round-trip. *)
 
 let to_hex s =
   let b = Buffer.create (2 * String.length s) in
@@ -22,53 +21,20 @@ let of_hex s =
 
 type entry = { key : string; id : string; data : string }
 
-type writer = { oc : out_channel; lock : Mutex.t; path : string }
+type writer = Mt_durable.Jsonl.t
 
-(* Does the file end mid-line (crash during the final write)?  Appending
-   straight after would glue the first new record onto the torn line and
-   lose it too, so the writer starts with a newline in that case. *)
-let ends_mid_line path =
-  match open_in_bin path with
-  | exception Sys_error _ -> false
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let len = in_channel_length ic in
-        len > 0
-        &&
-        (seek_in ic (len - 1);
-         input_char ic <> '\n'))
+let create ?append path = Mt_durable.Jsonl.open_ ?append path
 
-let create ?(append = false) path =
-  let torn = append && ends_mid_line path in
-  let flags =
-    [ Open_wronly; Open_creat; Open_binary; (if append then Open_append else Open_trunc) ]
-  in
-  let oc = open_out_gen flags 0o644 path in
-  if torn then (
-    output_char oc '\n';
-    flush oc);
-  { oc; lock = Mutex.create (); path }
-
-let path w = w.path
+let path = Mt_durable.Jsonl.path
 
 let record w ~key ~id ~data =
-  let line =
-    Json.to_string
-      (Json.Obj
-         [ ("key", Json.Str key); ("id", Json.Str id); ("data", Json.Str (to_hex data)) ])
-  in
-  Mutex.lock w.lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock w.lock)
-    (fun () ->
-      output_string w.oc line;
-      output_char w.oc '\n';
-      flush w.oc);
+  Mt_durable.Jsonl.add w
+    (Json.to_string
+       (Json.Obj
+          [ ("key", Json.Str key); ("id", Json.Str id); ("data", Json.Str (to_hex data)) ]));
   Mt_telemetry.incr (Mt_telemetry.global ()) "resilience.resume.recorded"
 
-let close w = close_out_noerr w.oc
+let close = Mt_durable.Jsonl.close
 
 let entry_of_line line =
   match Json.of_string line with
@@ -80,29 +46,7 @@ let entry_of_line line =
       Option.map (fun data -> { key; id; data }) (of_hex hex)
     | _ -> None)
 
-let load path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error msg -> Error msg
-  | text ->
-    let lines = String.split_on_char '\n' text in
-    (* Later lines win: a recovered entry re-recorded on resume simply
-       shadows the earlier one. *)
-    let entries =
-      List.fold_left
-        (fun acc line ->
-          if String.trim line = "" then acc
-          else
-            match entry_of_line line with
-            | Some e -> e :: acc
-            | None -> acc (* torn or foreign line: skip, don't fail *))
-        [] lines
-    in
-    Ok (List.rev entries)
+let load path = Mt_durable.Jsonl.load path entry_of_line
 
 let find entries ~key =
   (* Last record wins, matching the append-only write order. *)

@@ -444,15 +444,9 @@ let handle_connection d fd =
 (* Lifecycle                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "/" && dir <> "." && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error _ -> ()
-  end
-
 let create config =
-  Option.iter mkdir_p config.state_dir;
-  mkdir_p (Filename.dirname config.socket_path);
+  Option.iter Mt_durable.mkdir_p config.state_dir;
+  Mt_durable.mkdir_p (Filename.dirname config.socket_path);
   (* A stale socket file from a dead daemon blocks bind; a live daemon
      on the same path is a configuration error we surface via bind. *)
   (match Unix.lstat config.socket_path with

@@ -358,14 +358,6 @@ module Csv = struct
       (List.rev t.rows);
     Buffer.contents b
 
-  (* The explicit flush surfaces a write error: [with_open_text]
-     closes the channel with [close_out_noerr] on every path, which
-     would otherwise swallow a failed final flush. *)
-  let save t path =
-    Out_channel.with_open_text path (fun oc ->
-        output_string oc (to_string t);
-        flush oc)
-
   let row_count t = List.length t.rows
 
   let header t = t.header

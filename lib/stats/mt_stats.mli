@@ -171,10 +171,6 @@ module Csv : sig
   val to_string : t -> string
   (** Render the document, RFC-4180-style quoting. *)
 
-  val save : t -> string -> unit
-  (** [save t path] writes the document to [path].  A write error
-      raises [Sys_error]; the channel is closed on every path. *)
-
   val row_count : t -> int
   (** Number of data rows added so far. *)
 

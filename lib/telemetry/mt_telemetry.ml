@@ -363,13 +363,8 @@ let metrics_prometheus t =
   in
   prometheus_exposition ~summaries (counters t)
 
-let write_file path data =
-  let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
-      output_string oc data)
+let write_chrome_trace t path = Mt_durable.write path (chrome_trace t)
 
-let write_chrome_trace t path = write_file path (chrome_trace t)
+let write_metrics_csv t path = Mt_durable.write path (metrics_csv t)
 
-let write_metrics_csv t path = write_file path (metrics_csv t)
-
-let write_metrics_prometheus t path = write_file path (metrics_prometheus t)
+let write_metrics_prometheus t path = Mt_durable.write path (metrics_prometheus t)

@@ -182,6 +182,9 @@ val metrics_prometheus : t -> string
 (** A handle's counters and histograms (as summaries with live
     p50/p90/p99 quantiles) in Prometheus text exposition format. *)
 
+(** The three exporters write through {!Mt_durable.write} and raise
+    [Sys_error] on a failed write. *)
+
 val write_chrome_trace : t -> string -> unit
 
 val write_metrics_csv : t -> string -> unit

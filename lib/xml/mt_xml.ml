@@ -268,11 +268,9 @@ let parse_string s =
   root
 
 let parse_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  parse_string s
+  match Mt_durable.read path with
+  | Ok s -> parse_string s
+  | Error msg -> raise (Sys_error msg)
 
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)

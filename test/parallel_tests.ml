@@ -136,28 +136,6 @@ let test_cache_disk_persistence () =
   check_bool "disk hit" true (Mt_parallel.Cache.find c2 key = Some "42");
   check_int "counted as hit" 1 (Mt_parallel.Cache.hits c2)
 
-let test_cache_store_tmp_collision () =
-  let dir = temp_dir () in
-  let key = Mt_parallel.Cache.digest_key [ "collide" ] in
-  let path = Filename.concat dir (key ^ ".bin") in
-  (* Pre-plant the first temp name this process would pick (a stale
-     file left by a crashed twin whose pid got recycled): O_EXCL must
-     skip to the next suffix, never truncate into the planted file. *)
-  let planted =
-    Printf.sprintf "%s.%d.%d.0.tmp" path (Unix.getpid ())
-      (Domain.self () :> int)
-  in
-  let oc = open_out_bin planted in
-  output_string oc "stale";
-  close_out oc;
-  let c = Mt_parallel.Cache.create ~dir () in
-  Mt_parallel.Cache.store c key "fresh";
-  let c2 = Mt_parallel.Cache.create ~dir () in
-  check_bool "stored around the stale tmp" true
-    (Mt_parallel.Cache.find c2 key = Some "fresh");
-  check_string "planted file untouched" "stale"
-    (In_channel.with_open_bin planted In_channel.input_all)
-
 (* The writer half of the multi-process stress test.  OCaml 5 forbids
    Unix.fork once domains exist (the pool tests above spawn some), so
    the test re-execs its own binary with MT_CACHE_STRESS_WRITER set —
@@ -341,8 +319,6 @@ let tests =
     Alcotest.test_case "cache key injective" `Quick test_cache_key_injective;
     Alcotest.test_case "cache disk persistence" `Quick
       test_cache_disk_persistence;
-    Alcotest.test_case "cache tmp collision" `Quick
-      test_cache_store_tmp_collision;
     Alcotest.test_case "cache multi-process stress" `Quick
       test_cache_multiprocess_stress;
     Alcotest.test_case "cache LRU eviction" `Quick test_cache_eviction_lru;

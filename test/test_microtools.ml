@@ -1,9 +1,12 @@
-(* Multi-process cache stress: when re-exec'd with this variable set,
-   the binary is one of the concurrent writer processes, not the test
-   suite (see Parallel_tests.cache_stress_writer). *)
+(* Multi-process tests: when re-exec'd with one of these variables set,
+   the binary is a writer process, not the test suite (see
+   Parallel_tests.cache_stress_writer and Durable_tests.crash_writer). *)
 let () =
-  match Sys.getenv_opt "MT_CACHE_STRESS_WRITER" with
+  (match Sys.getenv_opt "MT_CACHE_STRESS_WRITER" with
   | Some spec -> Parallel_tests.cache_stress_writer spec
+  | None -> ());
+  match Sys.getenv_opt "MT_DURABLE_CRASH_WRITER" with
+  | Some dir -> Durable_tests.crash_writer dir
   | None -> ()
 
 let () =
@@ -22,6 +25,7 @@ let () =
       ("kernels", Kernels_tests.tests);
       ("study", Study_tests.tests);
       ("parallel", Parallel_tests.tests);
+      ("durable", Durable_tests.tests);
       ("resilience", Resilience_tests.tests);
       ("telemetry", Telemetry_tests.tests);
       ("obsv", Obsv_tests.tests);
